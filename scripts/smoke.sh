@@ -3,14 +3,18 @@
 # sweep exercising --trials / --jobs / the on-disk cache, and one
 # repair-armed batched scenario sweep.
 #
-# Usage:  sh scripts/smoke.sh [bench|cov]
+# Usage:  sh scripts/smoke.sh [bench|cov|perf]
 #
 # The optional `bench` target additionally runs scripts/bench_sweep.py and
 # appends its timings to BENCH_SWEEP.json, so the perf trajectory is
 # tracked across PRs.  The optional `cov` target runs the suite under
 # scripts/coverage_gate.py instead, failing when src/repro line coverage
 # drops below the gate's floor (pytest-cov when installed, a stdlib
-# settrace tracer otherwise).
+# settrace tracer otherwise).  The optional `perf` target runs only the
+# repository benchmark's traced `matrix` and `paper` workloads once each
+# (perfbench/run.py --trace 1) and fails when either reports a failed
+# invocation: a traced layer boundary the code bypasses, a stdout digest
+# drift, or a broken per-layer expectation.
 set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -20,6 +24,17 @@ if [ "$1" = "cov" ]; then
     echo "== tier-1 tests under the line-coverage gate =="
     python scripts/coverage_gate.py
     echo "smoke cov OK"
+    exit 0
+fi
+
+if [ "$1" = "perf" ]; then
+    for W in matrix paper; do
+        echo "== traced benchmark: $W =="
+        python3 perfbench/run.py --workload "$W" --seed 1 --seconds 1 --trace 1 \
+            | tail -n 1 \
+            | python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); print("attempted", r["attempted"], "failed", r["failed"]); sys.exit(1 if r["failed"] else 0)'
+    done
+    echo "smoke perf OK"
     exit 0
 fi
 

@@ -65,6 +65,7 @@ from repro.cluster.simulator import (
     CodedIterationOutcome,
     CodedIterationSim,
     WorkerIterationStats,
+    _empty_batch_outcome,
     _normalise_batch,
 )
 from repro.cluster.events.loop import Event, EventLoop
@@ -561,48 +562,32 @@ class EventDrivenIterationSim(CodedIterationSim):
         """
         speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
         n = speeds.shape[1]
-        plan_list = (
-            [plans] * trials
-            if isinstance(plans, CodedWorkPlan)
-            else list(plans)
-        )
-        if len(plan_list) != trials:
-            raise ValueError(f"got {len(plan_list)} plans for {trials} trials")
-        if any(p.n_workers != n for p in plan_list):
-            raise ValueError("every plan must span the batch's worker count")
+        plan_list = self._batch_plan_list(plans, trials, n)
         factors = self._check_factors_batch(link_factors, trials, n)
         factor_rows: list[np.ndarray | None] = (
             [None] * trials
             if link_factors is None
             else [factors[t] for t in range(trials)]
         )
-
-        completion = np.zeros(trials)
-        decode = np.zeros(trials)
-        assigned = np.zeros((trials, n), dtype=np.int64)
-        computed = np.zeros((trials, n))
-        used = np.zeros((trials, n), dtype=np.int64)
-        responded = np.zeros((trials, n), dtype=bool)
-        repaired = np.zeros(trials, dtype=bool)
         broadcast = self._broadcast_cost
 
-        def replay(indices) -> None:
+        def replay(out: BatchCodedOutcome, indices) -> None:
             """Scalar event loop as the semantics of record for ``indices``."""
             for t in indices:
                 outcome = self.run(
                     plan_list[t], speeds[t], failed_list[t], factor_rows[t]
                 )
-                completion[t] = outcome.completion_time
-                decode[t] = outcome.decode_time
-                repaired[t] = outcome.repaired
+                out.completion_time[t] = outcome.completion_time
+                out.decode_time[t] = outcome.decode_time
+                out.repaired[t] = outcome.repaired
                 stats = outcome.workers
-                assigned[t] = [s.assigned_rows for s in stats]
-                computed[t] = [s.computed_rows for s in stats]
-                used[t] = [s.used_rows for s in stats]
+                out.assigned_rows[t] = [s.assigned_rows for s in stats]
+                out.computed_rows[t] = [s.computed_rows for s in stats]
+                out.used_rows[t] = [s.used_rows for s in stats]
                 # The batch contract counts a response only when it was
                 # accepted (a late response recorded during a rejected
                 # repair probe stays a cancellation).
-                responded[t] = [
+                out.responded[t] = [
                     s.response_time is not None and not s.cancelled
                     for s in stats
                 ]
@@ -610,33 +595,16 @@ class EventDrivenIterationSim(CodedIterationSim):
         if self.config.rack_size is not None or self.config.shuffle_output:
             # Shared ToR links queue repair behind result traffic, and the
             # shuffle reuses down-links: event ordering genuinely matters.
+            out = _empty_batch_outcome(np.zeros((trials, n), np.int64), broadcast)
             with span("replay"):
-                replay(range(trials))
-            return BatchCodedOutcome(
-                completion_time=completion,
-                broadcast_time=broadcast,
-                decode_time=decode,
-                assigned_rows=assigned,
-                computed_rows=computed,
-                used_rows=used,
-                responded=responded,
-                repaired=repaired,
-            )
+                replay(out, range(trials))
+            return out
 
         with span("plan"):
-            failed_mask = np.zeros((trials, n), dtype=bool)
-            for t, failed in enumerate(failed_list):
-                if failed:
-                    failed_mask[t, list(failed)] = True
-            profiles = {}
-            for p in plan_list:
-                if id(p) not in profiles:
-                    profiles[id(p)] = self._profile(p)
-            rows_mat = np.stack([profiles[id(p)].rows for p in plan_list])
+            profiles, rows_mat, kinds, coverages, failed_mask = self._profile_batch(
+                plan_list, failed_list, n
+            )
             active = rows_mat > 0
-            kinds = np.array([profiles[id(p)].kind for p in plan_list])
-            coverages = np.array([p.coverage for p in plan_list], dtype=np.int64)
-            assigned[:] = rows_mat
 
         # The analytic schedule, mirroring the scalar event handlers'
         # float-op order term by term (queue-free on dedicated links).
@@ -663,21 +631,7 @@ class EventDrivenIterationSim(CodedIterationSim):
                 + (rows_mat * reply_bytes) / (self.network.bandwidth * factors)
             )
             arrivals[failed_mask | ~active] = np.inf
-
-            # Natural completion: k-th response for full plans, last active
-            # response for exact-coverage plans (an inf from a failed
-            # active worker propagates as "never completes naturally").
-            done = np.full(trials, np.inf)
-            full_rows = kinds == "full"
-            exact_rows = kinds == "exact"
-            sorted_arr = np.sort(arrivals, axis=1)
-            if np.any(full_rows):
-                done[full_rows] = sorted_arr[full_rows, coverages[full_rows] - 1]
-            if np.any(exact_rows):
-                masked = np.where(
-                    active[exact_rows], arrivals[exact_rows], -np.inf
-                )
-                done[exact_rows] = masked.max(axis=1)
+            done, sorted_arr = self._natural_done(arrivals, active, kinds, coverages)
 
         # §4.3 arming and the divergence detector.  The vectorized arming
         # test uses analytic event times, which the loop's causality clamp
@@ -685,6 +639,7 @@ class EventDrivenIterationSim(CodedIterationSim):
         # the *resolution* is only native when the repair round itself is
         # queue-free and mirrors the closed form bitwise (unit factors,
         # zero encode cost, zero-byte repair requests).
+        out = _empty_batch_outcome(rows_mat, broadcast)
         with span("repair"):
             deadlines = self._batch_deadlines(sorted_arr, coverages)
             general = kinds == "general"
@@ -697,98 +652,20 @@ class EventDrivenIterationSim(CodedIterationSim):
             fallback = general | (armed & ~(native_ok & unit_links))
             armed_native = armed & ~fallback
             if np.any(armed_native):
-                chunk_sizes = np.diff(self.grid.chunk_offsets())
-                for t in np.flatnonzero(armed_native):
-                    result = self._repair_batch_trial(
-                        plan_list[t],
-                        profiles[id(plan_list[t])],
-                        speeds[t],
-                        arrivals[t],
-                        float(deadlines[t]),
-                        float(done[t]),
-                        failed_list[t],
-                        broadcast,
-                        chunk_sizes,
-                    )
-                    if result is None:
-                        continue  # rejected: the trial completes naturally
-                    finish, decode_t, computed_t, used_t, responded_t = result
-                    repaired[t] = True
-                    completion[t] = finish + decode_t
-                    decode[t] = decode_t
-                    computed[t] = computed_t
-                    used[t] = used_t
-                    responded[t] = responded_t
+                self._resolve_armed(
+                    out, armed_native, plan_list, profiles, speeds, arrivals,
+                    deadlines, done, failed_list,
+                )
 
-        fast = ~fallback & ~repaired
-        if np.any(np.isinf(done) & fast):
-            raise RuntimeError(
-                "iteration cannot complete: coverage unsatisfiable with "
-                "the surviving workers and no repair possible"
-            )
-        if np.any(fast):
-            with span("decode"):
-                resp = active & (arrivals <= done[:, None]) & fast[:, None]
-                # Partial progress of cancelled stragglers: the event
-                # accounting starts the clock at the worker's recv time
-                # (mirrors _progress_rows term by term).
-                per_row = (self.width * self.cost.flops_per_element) / denom
-                elapsed = (done[:, None] - recv) - fixed
-                progress = np.where(elapsed <= 0, 0.0, elapsed / per_row)
-                progress = np.minimum(rows_mat, np.maximum(0.0, progress))
-                computed_fast = np.where(
-                    resp,
-                    rows_mat.astype(np.float64),
-                    np.where(failed_mask, 0.0, progress),
-                )
-                computed_fast[~active] = 0.0
-                computed[fast] = computed_fast[fast]
-                responded[fast] = resp[fast]
-                # Used rows: every active worker on exact plans; the first
-                # ``coverage`` responses (pop order == stable arrival
-                # order) on full plans.
-                exact_fast = exact_rows & fast
-                if np.any(exact_fast):
-                    used[exact_fast] = np.where(
-                        active[exact_fast], rows_mat[exact_fast], 0
-                    )
-                full_fast = full_rows & fast
-                if np.any(full_fast):
-                    order = np.argsort(
-                        arrivals[full_fast], axis=1, kind="stable"
-                    )
-                    sub = np.zeros((int(full_fast.sum()), n), dtype=np.int64)
-                    take = coverages[full_fast]
-                    for i in range(sub.shape[0]):
-                        contributors = order[i, : take[i]]
-                        sub[i, contributors] = rows_mat[full_fast][
-                            i, contributors
-                        ]
-                    used[full_fast] = sub
-                groups = np.array(
-                    [profiles[id(p)].decode_groups for p in plan_list],
-                    dtype=np.int64,
-                )
-                for t in np.flatnonzero(fast):
-                    decode[t] = self.cost.decode_time(
-                        rows=self.grid.rows,
-                        coverage=int(coverages[t]),
-                        width_out=self.width_out,
-                        groups=max(1, int(groups[t])),
-                    )
-                completion[fast] = done[fast] + decode[fast]
+        # Partial progress of cancelled stragglers: the event accounting
+        # starts each worker's clock at its recv time.
+        self._settle_natural(
+            out, ~fallback & ~out.repaired, recv, done, arrivals, rows_mat,
+            failed_mask, denom, fixed, kinds, coverages, profiles,
+        )
 
         if np.any(fallback):
             with span("replay"):
-                replay(np.flatnonzero(fallback))
+                replay(out, np.flatnonzero(fallback))
 
-        return BatchCodedOutcome(
-            completion_time=completion,
-            broadcast_time=broadcast,
-            decode_time=decode,
-            assigned_rows=assigned,
-            computed_rows=computed,
-            used_rows=used,
-            responded=responded,
-            repaired=repaired,
-        )
+        return out

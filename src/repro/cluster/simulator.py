@@ -196,19 +196,26 @@ class _PlanProfile:
     kind: str  # "full" | "exact" | "general"
     rows: np.ndarray  # (n,) assigned rows per worker
     chunk_counts: np.ndarray  # (n,) assigned chunks per worker
-    n_active: int
     decode_groups: int  # groups for decode_time on the natural path
-    #: Lazily filled worker → sorted chunk-index array cache, shared by
-    #: every repair-armed trial of this plan (expansion is O(chunks) and
-    #: the arrays are read-only inputs to ``repair_assignments``).
-    chunk_cache: dict = field(default_factory=dict)
 
-    def chunks_of(self, plan: CodedWorkPlan, worker: int) -> np.ndarray:
-        """Worker's sorted chunk indices (memoised per plan profile)."""
-        cached = self.chunk_cache.get(worker)
+    def chunks_of(self, plan: CodedWorkPlan) -> list[np.ndarray]:
+        """Every worker's sorted chunk indices, expanded once per plan.
+
+        One pass over the plan's range table (sorted by worker, then
+        begin) instead of one range expansion per worker; shared by every
+        repair-armed trial of the plan as the read-only inputs of
+        :func:`repair_assignments`.
+        """
+        cached = self.__dict__.get("_chunks")
         if cached is None:
-            cached = plan.assignments[worker].chunk_indices()
-            self.chunk_cache[worker] = cached
+            table = plan.range_table
+            owner, begin, end = table[np.lexsort((table[:, 1], table[:, 0]))].T
+            lengths = end - begin
+            starts = np.cumsum(lengths) - lengths
+            flat = np.arange(int(lengths.sum())) + np.repeat(begin - starts, lengths)
+            bounds = np.cumsum(self.chunk_counts).tolist()
+            cached = [flat[a:b] for a, b in zip([0, *bounds], bounds)]
+            object.__setattr__(self, "_chunks", cached)
         return cached
 
 
@@ -507,64 +514,76 @@ class CodedIterationSim:
     # Batched Monte-Carlo path
     # ------------------------------------------------------------------
 
-    def _profile(self, plan: CodedWorkPlan) -> _PlanProfile:
-        """Classify a plan and precompute the per-worker row counts.
+    def _profiles(self, plans: list[CodedWorkPlan]) -> list[_PlanProfile]:
+        """Classify distinct plans and precompute their per-worker row counts.
 
-        Row counts come from the grid's chunk offsets and the plan's range
-        representation directly — O(ranges) per worker instead of expanding
-        10k-chunk index arrays the way the scalar path does.
+        All plans of one batch are profiled together from their stacked
+        range tables: row and chunk totals are offset differences summed
+        per ``(plan, worker)`` slot, "full" means exactly one ``(0, C)``
+        range per worker, and "exact" is a per-plan difference-array
+        coverage count equal to the plan's coverage on every chunk — a few
+        array passes per batch instead of expanding 10k-chunk index arrays
+        the way the scalar path does.
         """
+        n = plans[0].n_workers
+        m = len(plans)
+        tables = [p.range_table for p in plans]
+        which = np.repeat(np.arange(m), [len(t) for t in tables])
+        owner, begin, end = np.concatenate(tables).T
+        num_chunks = np.array([p.num_chunks for p in plans], dtype=np.int64)
+        coverage = np.array([p.coverage for p in plans], dtype=np.int64)
         offsets = self.grid.chunk_offsets()
-        num_chunks = plan.num_chunks
-        rows = np.zeros(plan.n_workers, dtype=np.int64)
-        chunk_counts = np.zeros(plan.n_workers, dtype=np.int64)
-        full = True
-        coverage = np.zeros(num_chunks, dtype=np.int64)
-        for w, assignment in enumerate(plan.assignments):
-            if assignment.ranges != ((0, num_chunks),):
-                full = False
-            for begin, end in assignment.ranges:
-                rows[w] += int(offsets[end] - offsets[begin])
-                chunk_counts[w] += end - begin
-                coverage[begin:end] += 1
-        n_active = int(np.count_nonzero(rows))
-        if full:
-            kind = "full"
-            groups = plan.coverage
-        elif bool(np.all(coverage == plan.coverage)):
-            kind = "exact"
-            groups = n_active
-        else:
-            kind = "general"
-            groups = 0
-        return _PlanProfile(
-            kind=kind,
-            rows=rows,
-            chunk_counts=chunk_counts,
-            n_active=n_active,
-            decode_groups=groups,
+        slot = which * n + owner
+        # Exact in float64: row and chunk totals are far below 2**53.
+        rows = np.bincount(
+            slot, weights=offsets[end] - offsets[begin], minlength=m * n
+        ).astype(np.int64).reshape(m, n)
+        chunk_counts = np.bincount(
+            slot, weights=end - begin, minlength=m * n
+        ).astype(np.int64).reshape(m, n)
+        off_full = (begin != 0) | (end != num_chunks[which])
+        full = (np.bincount(which, minlength=m) == n) & (
+            np.bincount(which, weights=off_full, minlength=m) == 0
         )
+        width = int(num_chunks.max()) + 1
+        marks = np.bincount(which * width + begin, minlength=m * width)
+        marks -= np.bincount(which * width + end, minlength=m * width)
+        covered = np.cumsum(marks.reshape(m, width), axis=1)[:, :-1]
+        beyond = np.arange(width - 1) >= num_chunks[:, None]
+        exact = np.all((covered == coverage[:, None]) | beyond, axis=1)
+        kinds = np.where(full, "full", np.where(exact, "exact", "general"))
+        groups = np.where(
+            full, coverage, np.where(exact, np.count_nonzero(rows, axis=1), 0)
+        )
+        return [
+            _PlanProfile(kind=kind, rows=r, chunk_counts=c, decode_groups=g)
+            for kind, r, c, g in zip(
+                kinds.tolist(), rows, chunk_counts, groups.tolist()
+            )
+        ]
 
     def _batch_deadlines(
         self, sorted_active: np.ndarray, coverages: np.ndarray
     ) -> np.ndarray:
         """Per-trial §4.3 deadlines (NaN where the timeout cannot arm).
 
-        Mirrors :meth:`_timeout_deadline` per trial — including computing
-        the mean with ``np.mean`` on the same slice, so the armed deadline
-        is bit-identical to the scalar path.
+        Mirrors :meth:`_timeout_deadline` per trial: the mean of the first
+        ``min(k, finite)`` sorted arrivals.  Trials are grouped by that
+        slice length and each group reduced with one ``np.mean(axis=1)``
+        over a contiguous copy — the same per-row pairwise summation as
+        the scalar ``np.mean`` on one slice, so the armed deadline is
+        bit-identical to the scalar path.
         """
-        trials = sorted_active.shape[0]
-        deadlines = np.full(trials, np.nan)
+        deadlines = np.full(sorted_active.shape[0], np.nan)
         if self.timeout is None:
             return deadlines
-        for t in range(trials):
-            k = self.timeout.min_responses or int(coverages[t])
-            finite = sorted_active[t][np.isfinite(sorted_active[t])]
-            if finite.size == 0:
-                continue
-            deadlines[t] = self.timeout.deadline(
-                float(np.mean(finite[: min(k, finite.size)]))
+        k = self.timeout.min_responses or coverages
+        # Finite arrivals are a prefix of each sorted row (inf sorts last).
+        take = np.minimum(k, np.isfinite(sorted_active).sum(axis=1))
+        for m in np.unique(take[take > 0]).tolist():
+            group = take == m
+            deadlines[group] = self.timeout.deadline(
+                np.mean(sorted_active[group, :m], axis=1)
             )
         return deadlines
 
@@ -597,66 +616,59 @@ class CodedIterationSim:
         """
         n = plan.n_workers
         rows = profile.rows
-        active = [int(w) for w in np.flatnonzero(rows > 0)]
-        order = sorted(active, key=lambda w: (arrivals_t[w], w))
+        active = (rows > 0).nonzero()[0]
+        # Arrival order, ties to the lower worker; ``finished`` at a cutoff
+        # is then a prefix of ``order``.
+        ranked = np.argsort(arrivals_t[active], kind="stable")
+        order = active[ranked].tolist()
+        arrived = arrivals_t[active][ranked]
         idle_alive = [
-            w
-            for w in range(n)
-            if profile.chunk_counts[w] == 0 and w not in failed
+            w for w in (profile.chunk_counts == 0).nonzero()[0].tolist()
+            if w not in failed
         ]
-        later_arrivals = sorted(
-            arrivals_t[w] for w in order if deadline < arrivals_t[w] < np.inf
-        )
-        outcome = None
-        for cutoff in [deadline, *later_arrivals]:
-            finished = {
-                w: profile.chunks_of(plan, w)
-                for w in order
-                if arrivals_t[w] <= cutoff
-            }
+        later_arrivals = arrived[(arrived > deadline) & (arrived < np.inf)]
+        chunks_of = profile.chunks_of(plan)
+        # Python floats: the scalar cost helpers below then run on plain
+        # float arithmetic (the same IEEE operations, bit for bit).
+        speed = speeds_t.tolist()
+        for cutoff in [deadline, *later_arrivals.tolist()]:
+            n_done = int(np.searchsorted(arrived, cutoff, side="right"))
+            finished = {w: chunks_of[w] for w in order[:n_done]}
             for w in idle_alive:
                 finished.setdefault(w, np.empty(0, dtype=np.int64))
-            laggards = frozenset(w for w in order if arrivals_t[w] > cutoff)
-            if not laggards or not finished:
-                return None
+            if n_done == len(order) or not finished:
+                return None  # no laggards left, or nobody to repair with
             try:
                 extra = repair_assignments(plan, finished, speeds_t)
             except ValueError:
                 continue  # wait for the next response, then reconsider
-            extra_rows: dict[int, int] = {}
-            finish = cutoff
-            dispatch = cutoff + self.network.latency  # reassignment message
-            for w, chunks in extra.items():
-                cnt = int(chunk_sizes[chunks].sum())
-                extra_rows[w] = cnt
-                arrival = self._arrival(cnt, speeds_t[w], dispatch)
-                finish = max(finish, arrival)
-            outcome = (finished, extra_rows, laggards, finish)
             break
-        # Opportunistic repair: accept only when it beats the stragglers.
-        if outcome is None or outcome[3] >= natural_done:
+        else:
             return None
-        finished, extra_rows, laggards, finish = outcome
+        extra_rows = {w: int(chunk_sizes[chunks].sum()) for w, chunks in extra.items()}
+        dispatch = cutoff + self.network.latency  # reassignment message
+        finish = max(
+            [cutoff]
+            + [self._arrival(cnt, speed[w], dispatch) for w, cnt in extra_rows.items()]
+        )
+        # Opportunistic repair: accept only when it beats the stragglers.
+        if finish >= natural_done:
+            return None
 
+        # Every worker that arrived by the cutoff responded in full; the
+        # laggards were cancelled at the deadline.
         computed = np.zeros(n)
         used = np.zeros(n, dtype=np.int64)
         responded = np.zeros(n, dtype=bool)
-        for w in active:
-            if w in laggards:
-                if w not in failed:
-                    computed[w] = self._progress_rows(
-                        speeds_t[w], broadcast, deadline, int(rows[w])
-                    )
-                continue
-            if arrivals_t[w] <= finish:
-                computed[w] = float(rows[w])
-                responded[w] = True
-            elif w not in failed:  # pragma: no cover - finished <= cutoff
+        arrived_ok = order[:n_done]
+        computed[arrived_ok] = rows[arrived_ok]
+        used[arrived_ok] = rows[arrived_ok]
+        responded[arrived_ok] = True
+        for w in order[n_done:]:
+            if w not in failed:
                 computed[w] = self._progress_rows(
-                    speeds_t[w], broadcast, finish, int(rows[w])
+                    speed[w], broadcast, deadline, int(rows[w])
                 )
-        for w in finished:
-            used[w] = int(rows[w])
         for w, cnt in extra_rows.items():
             used[w] += cnt
             computed[w] = float(int(rows[w]) + cnt)
@@ -695,30 +707,12 @@ class CodedIterationSim:
         """
         speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
         n = speeds.shape[1]
-        if isinstance(plans, CodedWorkPlan):
-            plan_list = [plans] * trials
-        else:
-            plan_list = list(plans)
-            if len(plan_list) != trials:
-                raise ValueError(
-                    f"got {len(plan_list)} plans for {trials} trials"
-                )
-        if any(p.n_workers != n for p in plan_list):
-            raise ValueError("every plan must span the batch's worker count")
+        plan_list = self._batch_plan_list(plans, trials, n)
         with span("plan"):
-            failed_mask = np.zeros((trials, n), dtype=bool)
-            for t, failed in enumerate(failed_list):
-                if failed:
-                    failed_mask[t, list(failed)] = True
-
-            profiles: dict[int, _PlanProfile] = {}
-            for p in plan_list:
-                if id(p) not in profiles:
-                    profiles[id(p)] = self._profile(p)
-            rows_mat = np.stack([profiles[id(p)].rows for p in plan_list])
+            profiles, rows_mat, kinds, coverages, failed_mask = self._profile_batch(
+                plan_list, failed_list, n
+            )
             active = rows_mat > 0
-            kinds = np.array([profiles[id(p)].kind for p in plan_list])
-            coverages = np.array([p.coverage for p in plan_list], dtype=np.int64)
 
         # Arrivals, mirroring _arrival()'s float-op order term by term so
         # batched values are bit-identical to the scalar path.
@@ -734,120 +728,25 @@ class CodedIterationSim:
             ) / self.network.bandwidth
             arrivals = ((broadcast + fixed) + compute) + reply
             arrivals[failed_mask | ~active] = np.inf
-
-            # Natural completion: k-th response for full plans, last active
-            # response for exact-coverage plans.
-            done = np.full(trials, np.inf)
-            full_rows = kinds == "full"
-            exact_rows = kinds == "exact"
-            sorted_arr = np.sort(arrivals, axis=1)
-            if np.any(full_rows):
-                kth = sorted_arr[full_rows, coverages[full_rows] - 1]
-                done[full_rows] = kth
-            if np.any(exact_rows):
-                # Exact coverage needs every active worker; a failed active
-                # worker leaves its arrival at inf, which propagates through
-                # the max as "never completes naturally".
-                masked = np.where(
-                    active[exact_rows], arrivals[exact_rows], -np.inf
-                )
-                done[exact_rows] = masked.max(axis=1)
+            done, sorted_arr = self._natural_done(arrivals, active, kinds, coverages)
 
         with span("repair"):
             deadlines = self._batch_deadlines(sorted_arr, coverages)
             fallback = kinds == "general"
             armed = ~fallback & ~np.isnan(deadlines) & (done > deadlines)
 
-        assigned = rows_mat.copy()
-        computed = np.zeros((trials, n))
-        used = np.zeros((trials, n), dtype=np.int64)
-        responded = np.zeros((trials, n), dtype=bool)
-        repaired = np.zeros(trials, dtype=bool)
-        decode = np.zeros(trials)
-        completion = np.zeros(trials)
-
+        out = _empty_batch_outcome(rows_mat, broadcast)
         # Native §4.3 repair resolution on the precomputed arrival matrix.
         if np.any(armed):
             with span("repair"):
-                chunk_sizes = np.diff(self.grid.chunk_offsets())
-                for t in np.flatnonzero(armed):
-                    result = self._repair_batch_trial(
-                        plan_list[t],
-                        profiles[id(plan_list[t])],
-                        speeds[t],
-                        arrivals[t],
-                        float(deadlines[t]),
-                        float(done[t]),
-                        failed_list[t],
-                        broadcast,
-                        chunk_sizes,
-                    )
-                    if result is None:
-                        continue  # rejected: the trial completes naturally
-                    finish, decode_t, computed_t, used_t, responded_t = result
-                    repaired[t] = True
-                    completion[t] = finish + decode_t
-                    decode[t] = decode_t
-                    computed[t] = computed_t
-                    used[t] = used_t
-                    responded[t] = responded_t
-
-        fast = ~fallback & ~repaired
-        if np.any(np.isinf(done) & fast):
-            raise RuntimeError(
-                "iteration cannot complete: coverage unsatisfiable with "
-                "the surviving workers and no repair possible"
-            )
-        if np.any(fast):
-            with span("decode"):
-                resp = active & (arrivals <= done[:, None]) & fast[:, None]
-                # Partial progress of cancelled stragglers (mirrors
-                # _progress_rows term by term).
-                per_row = (self.width * self.cost.flops_per_element) / denom
-                elapsed = (done[:, None] - broadcast) - fixed
-                progress = np.where(elapsed <= 0, 0.0, elapsed / per_row)
-                progress = np.minimum(rows_mat, np.maximum(0.0, progress))
-                computed_fast = np.where(
-                    resp,
-                    rows_mat.astype(np.float64),
-                    np.where(failed_mask, 0.0, progress),
+                self._resolve_armed(
+                    out, armed, plan_list, profiles, speeds, arrivals,
+                    deadlines, done, failed_list,
                 )
-                computed_fast[~active] = 0.0
-                computed[fast] = computed_fast[fast]
-                responded[fast] = resp[fast]
-                # Used rows: every active worker on exact plans; the first
-                # ``coverage`` responses (stable arrival order) on full
-                # plans.
-                exact_fast = exact_rows & fast
-                if np.any(exact_fast):
-                    used[exact_fast] = np.where(
-                        active[exact_fast], rows_mat[exact_fast], 0
-                    )
-                full_fast = full_rows & fast
-                if np.any(full_fast):
-                    order = np.argsort(
-                        arrivals[full_fast], axis=1, kind="stable"
-                    )
-                    sub = np.zeros((int(full_fast.sum()), n), dtype=np.int64)
-                    take = coverages[full_fast]
-                    for i in range(sub.shape[0]):
-                        contributors = order[i, : take[i]]
-                        sub[i, contributors] = rows_mat[full_fast][
-                            i, contributors
-                        ]
-                    used[full_fast] = sub
-                groups = np.array(
-                    [profiles[id(p)].decode_groups for p in plan_list],
-                    dtype=np.int64,
-                )
-                for t in np.flatnonzero(fast):
-                    decode[t] = self.cost.decode_time(
-                        rows=self.grid.rows,
-                        coverage=int(coverages[t]),
-                        width_out=self.width_out,
-                        groups=max(1, int(groups[t])),
-                    )
-                completion[fast] = done[fast] + decode[fast]
+        self._settle_natural(
+            out, ~fallback & ~out.repaired, broadcast, done, arrivals,
+            rows_mat, failed_mask, denom, fixed, kinds, coverages, profiles,
+        )
 
         # Unclassified plan shapes: the scalar simulator is the semantics
         # of record.
@@ -855,25 +754,181 @@ class CodedIterationSim:
             with span("replay"):
                 for t in np.flatnonzero(fallback):
                     outcome = self.run(plan_list[t], speeds[t], failed_list[t])
-                    completion[t] = outcome.completion_time
-                    decode[t] = outcome.decode_time
-                    repaired[t] = outcome.repaired
+                    out.completion_time[t] = outcome.completion_time
+                    out.decode_time[t] = outcome.decode_time
+                    out.repaired[t] = outcome.repaired
                     for w, stat in enumerate(outcome.workers):
-                        assigned[t, w] = stat.assigned_rows
-                        computed[t, w] = stat.computed_rows
-                        used[t, w] = stat.used_rows
-                        responded[t, w] = stat.response_time is not None
+                        out.assigned_rows[t, w] = stat.assigned_rows
+                        out.computed_rows[t, w] = stat.computed_rows
+                        out.used_rows[t, w] = stat.used_rows
+                        out.responded[t, w] = stat.response_time is not None
+        return out
 
-        return BatchCodedOutcome(
-            completion_time=completion,
-            broadcast_time=broadcast,
-            decode_time=decode,
-            assigned_rows=assigned,
-            computed_rows=computed,
-            used_rows=used,
-            responded=responded,
-            repaired=repaired,
-        )
+    # Stages of ``run_batch`` shared with the batched event kernel.
+
+    @staticmethod
+    def _batch_plan_list(plans, trials: int, n: int) -> list[CodedWorkPlan]:
+        """One plan per trial, validated against the batch's shape."""
+        if isinstance(plans, CodedWorkPlan):
+            plan_list = [plans] * trials
+        else:
+            plan_list = list(plans)
+            if len(plan_list) != trials:
+                raise ValueError(
+                    f"got {len(plan_list)} plans for {trials} trials"
+                )
+        if any(p.n_workers != n for p in plan_list):
+            raise ValueError("every plan must span the batch's worker count")
+        return plan_list
+
+    def _profile_batch(self, plan_list, failed_list, n: int):
+        """Profile each distinct plan object once and stack the per-trial view.
+
+        Returns ``(profiles, rows, kinds, coverages, failed_mask)``: each
+        trial's (shared) plan profile, the ``(trials, workers)`` assigned
+        rows, per-trial plan kinds and coverages, and the failure mask.
+        """
+        failed_mask = np.zeros((len(plan_list), n), dtype=bool)
+        for t, failed in enumerate(failed_list):
+            if failed:
+                failed_mask[t, list(failed)] = True
+        slots: dict[int, int] = {}
+        distinct: list[CodedWorkPlan] = []
+        for p in plan_list:
+            if id(p) not in slots:
+                slots[id(p)] = len(distinct)
+                distinct.append(p)
+        index = [slots[id(p)] for p in plan_list]
+        unique = self._profiles(distinct)
+        profiles = [unique[i] for i in index]
+        rows = np.stack([profile.rows for profile in unique])[index]
+        kinds = np.array([profile.kind for profile in unique])[index]
+        coverages = np.array([p.coverage for p in plan_list], dtype=np.int64)
+        return profiles, rows, kinds, coverages, failed_mask
+
+    @staticmethod
+    def _natural_done(arrivals, active, kinds, coverages):
+        """Natural completion per trial plus the row-sorted arrivals.
+
+        The k-th response completes full plans; exact-coverage plans need
+        every active worker, so a failed active worker's inf arrival
+        propagates through the max as "never completes naturally".
+        """
+        done = np.full(arrivals.shape[0], np.inf)
+        full_rows = kinds == "full"
+        exact_rows = kinds == "exact"
+        sorted_arr = np.sort(arrivals, axis=1)
+        if np.any(full_rows):
+            done[full_rows] = sorted_arr[full_rows, coverages[full_rows] - 1]
+        if np.any(exact_rows):
+            masked = np.where(active[exact_rows], arrivals[exact_rows], -np.inf)
+            done[exact_rows] = masked.max(axis=1)
+        return done, sorted_arr
+
+    def _resolve_armed(
+        self, out, armed, plan_list, profiles, speeds, arrivals, deadlines,
+        done, failed_list,
+    ) -> None:
+        """Resolve every armed trial with :meth:`_repair_batch_trial` in place."""
+        chunk_sizes = self.grid.chunk_sizes()
+        for t in np.flatnonzero(armed):
+            result = self._repair_batch_trial(
+                plan_list[t],
+                profiles[t],
+                speeds[t],
+                arrivals[t],
+                float(deadlines[t]),
+                float(done[t]),
+                failed_list[t],
+                out.broadcast_time,
+                chunk_sizes,
+            )
+            if result is None:
+                continue  # rejected: the trial completes naturally
+            finish, decode_t, computed_t, used_t, responded_t = result
+            out.repaired[t] = True
+            out.completion_time[t] = finish + decode_t
+            out.decode_time[t] = decode_t
+            out.computed_rows[t] = computed_t
+            out.used_rows[t] = used_t
+            out.responded[t] = responded_t
+
+    def _settle_natural(
+        self, out, fast, start, done, arrivals, rows_mat, failed_mask, denom,
+        fixed, kinds, coverages, profiles,
+    ) -> None:
+        """Accounting of the ``fast`` trials, which complete naturally.
+
+        ``start`` is when each worker's compute clock starts (the
+        broadcast cost, or the event kernel's per-link receipt times).
+        """
+        if np.any(np.isinf(done) & fast):
+            raise RuntimeError(
+                "iteration cannot complete: coverage unsatisfiable with "
+                "the surviving workers and no repair possible"
+            )
+        if not np.any(fast):
+            return
+        with span("decode"):
+            active = rows_mat > 0
+            resp = active & (arrivals <= done[:, None]) & fast[:, None]
+            # Partial progress of cancelled stragglers (mirrors
+            # _progress_rows term by term).
+            per_row = (self.width * self.cost.flops_per_element) / denom
+            elapsed = (done[:, None] - start) - fixed
+            progress = np.where(elapsed <= 0, 0.0, elapsed / per_row)
+            progress = np.minimum(rows_mat, np.maximum(0.0, progress))
+            computed_fast = np.where(
+                resp,
+                rows_mat.astype(np.float64),
+                np.where(failed_mask, 0.0, progress),
+            )
+            computed_fast[~active] = 0.0
+            out.computed_rows[fast] = computed_fast[fast]
+            out.responded[fast] = resp[fast]
+            # Used rows: every active worker on exact plans; the first
+            # ``coverage`` responses (stable arrival order) on full plans.
+            exact_fast = (kinds == "exact") & fast
+            if np.any(exact_fast):
+                out.used_rows[exact_fast] = np.where(
+                    active[exact_fast], rows_mat[exact_fast], 0
+                )
+            full_fast = (kinds == "full") & fast
+            if np.any(full_fast):
+                order = np.argsort(arrivals[full_fast], axis=1, kind="stable")
+                rank = np.argsort(order, axis=1)
+                out.used_rows[full_fast] = np.where(
+                    rank < coverages[full_fast, None], rows_mat[full_fast], 0
+                )
+            # One decode_time call per distinct (coverage, groups) pair.
+            groups = [max(1, profile.decode_groups) for profile in profiles]
+            decode_of: dict[tuple[int, int], float] = {}
+            for t in np.flatnonzero(fast).tolist():
+                key = (int(coverages[t]), groups[t])
+                if key not in decode_of:
+                    decode_of[key] = self.cost.decode_time(
+                        rows=self.grid.rows,
+                        coverage=key[0],
+                        width_out=self.width_out,
+                        groups=key[1],
+                    )
+                out.decode_time[t] = decode_of[key]
+            out.completion_time[fast] = done[fast] + out.decode_time[fast]
+
+
+def _empty_batch_outcome(rows_mat: np.ndarray, broadcast: float) -> BatchCodedOutcome:
+    """A zeroed outcome for ``rows_mat``'s batch, filled in place by stage."""
+    trials, n = rows_mat.shape
+    return BatchCodedOutcome(
+        completion_time=np.zeros(trials),
+        broadcast_time=broadcast,
+        decode_time=np.zeros(trials),
+        assigned_rows=rows_mat.copy(),
+        computed_rows=np.zeros((trials, n)),
+        used_rows=np.zeros((trials, n), dtype=np.int64),
+        responded=np.zeros((trials, n), dtype=bool),
+        repaired=np.zeros(trials, dtype=bool),
+    )
 
 
 @dataclass

@@ -11,6 +11,7 @@ chunk is assigned to at least ``coverage`` workers (``k`` for MDS codes,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -48,10 +49,13 @@ class ChunkAssignment:
             if begin < 0 or end < begin:
                 raise ValueError(f"invalid chunk range ({begin}, {end})")
         # Overlap detection on sorted copies (ranges may be given unsorted).
-        ordered = sorted(self.ranges)
-        for (b1, e1), (b2, _e2) in zip(ordered, ordered[1:]):
-            if b2 < e1:
-                raise ValueError(f"overlapping chunk ranges near ({b1}, {e1})")
+        if len(self.ranges) > 1:
+            ordered = sorted(self.ranges)
+            for (b1, e1), (b2, _e2) in zip(ordered, ordered[1:]):
+                if b2 < e1:
+                    raise ValueError(
+                        f"overlapping chunk ranges near ({b1}, {e1})"
+                    )
 
     @property
     def num_chunks(self) -> int:
@@ -114,13 +118,29 @@ class CodedWorkPlan:
                         f"{self.num_chunks}"
                     )
 
+    @functools.cached_property
+    def range_table(self) -> np.ndarray:
+        """Every chunk range as one ``(worker, begin, end)`` row, in worker order.
+
+        The ``(ranges, 3)`` int64 array form lets per-plan geometry
+        (coverage, per-worker counts, row totals) reduce in a few numpy
+        passes instead of a loop over assignments.  Computed once per plan
+        and read-only (``functools.cached_property`` writes the instance
+        ``__dict__`` directly, which frozen dataclasses permit).
+        """
+        table = np.array(
+            [(a.worker, b, e) for a in self.assignments for b, e in a.ranges],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        table.setflags(write=False)
+        return table
+
     def chunk_coverage(self) -> np.ndarray:
         """Return how many workers compute each chunk (length ``num_chunks``)."""
-        coverage = np.zeros(self.num_chunks, dtype=np.int64)
-        for assignment in self.assignments:
-            for begin, end in assignment.ranges:
-                coverage[begin:end] += 1
-        return coverage
+        _, begin, end = self.range_table.T
+        marks = np.bincount(begin, minlength=self.num_chunks + 1)
+        marks -= np.bincount(end, minlength=self.num_chunks + 1)
+        return np.cumsum(marks[:-1])
 
     def is_decodable(self) -> bool:
         """True when every chunk meets the coverage requirement."""
@@ -147,10 +167,10 @@ class CodedWorkPlan:
 
     def chunks_per_worker(self) -> np.ndarray:
         """Return the per-worker assigned chunk counts."""
-        return np.array(
-            [assignment.num_chunks for assignment in self.assignments],
-            dtype=np.int64,
-        )
+        owner, begin, end = self.range_table.T
+        return np.bincount(
+            owner, weights=end - begin, minlength=self.n_workers
+        ).astype(np.int64)
 
     def total_chunks_assigned(self) -> int:
         """Total chunk-computations across the cluster."""
@@ -178,14 +198,21 @@ def as_speed_matrix(speeds: np.ndarray) -> np.ndarray:
 def plan_unique_rows(rows: np.ndarray, plan_fn) -> list[CodedWorkPlan]:
     """Plan each distinct row of ``rows`` once; duplicates share the object.
 
-    Shared plan objects let
+    Rows are compared by their bytes, and ``plan_fn`` receives a copy of
+    the first occurrence.  Shared plan objects let
     :meth:`~repro.cluster.simulator.CodedIterationSim.run_batch` profile
     each distinct plan a single time.
     """
-    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).ravel()  # numpy 2.0 returns it shaped
-    plans = [plan_fn(row) for row in unique]
-    return [plans[i] for i in inverse]
+    rows = np.ascontiguousarray(rows)
+    plans: dict[bytes, CodedWorkPlan] = {}
+    out = []
+    for row in rows:
+        key = row.tobytes()
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = plan_fn(row.copy())
+        out.append(plan)
+    return out
 
 
 def plan_batch(scheduler: Scheduler, speeds: np.ndarray) -> list[CodedWorkPlan]:

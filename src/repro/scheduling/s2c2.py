@@ -5,17 +5,26 @@ shrink the amount of each partition actually computed so that every chunk is
 covered by **exactly** ``k`` workers — the minimum for decodability — with
 per-worker shares proportional to predicted speeds.
 
-The chunk-allocation core is the paper's Algorithm 1:
+The chunk-allocation core (:func:`allocate_chunks`) implements the paper's
+Algorithm 1 in an order-independent form:
 
 1. over-decompose each partition into ``C`` chunks;
-2. the decodable total is ``k · C`` chunk-computations;
-3. walk workers in descending speed order, giving each
-   ``round(uᵢ / Σ_{j≥i} uⱼ × remaining)`` chunks capped at ``C`` (a worker
-   cannot compute more than its whole partition — the cap's spill-over goes
-   to the next workers via the running ``remaining``);
-4. lay the shares out consecutively around the ``C``-chunk circle
-   (wrap-around), which covers every chunk exactly ``k`` times because every
-   share is ≤ ``C``.
+2. the decodable total is ``k · C`` chunk-computations, shared among the
+   workers with positive speed;
+3. water-fill the per-worker cap: every worker whose proportional share
+   ``uᵢ / Σ uⱼ × remaining`` reaches ``C`` is pinned at ``C`` (a worker
+   cannot compute more than its whole partition), and the rest re-share
+   what remains, until no share reaches the cap;
+4. floor the remaining proportional shares, then hand out the rounding
+   shortfall one chunk at a time to the worker whose finish time
+   ``(countᵢ + 1) / uᵢ`` would grow least, ties to the lower worker.
+   Each worker's successive candidates ``(⌊shareᵢ⌋ + j) / uᵢ`` increase
+   with ``j``, so this greedy is a k-way merge: the shortfall goes to the
+   first candidates in stable ``(time, worker)`` order, with candidates
+   past the cap ``C`` dropped — one sort per call;
+5. lay the shares out consecutively around the ``C``-chunk circle
+   (:func:`wraparound_plan`, largest share first), which covers every
+   chunk exactly ``k`` times because every share is ≤ ``C``.
 """
 
 from __future__ import annotations
@@ -73,50 +82,54 @@ def allocate_chunks(
         raise ValueError("speeds must be 1-D")
     check_positive_int(coverage, "coverage")
     check_positive_int(num_chunks, "num_chunks")
-    n = speeds.size
     alive = speeds > 0
-    if int(alive.sum()) < coverage:
+    n_alive = int(np.count_nonzero(alive))
+    if n_alive < coverage:
         raise ValueError(
-            f"only {int(alive.sum())} workers have positive speed; "
+            f"only {n_alive} workers have positive speed; "
             f"coverage {coverage} is infeasible under the per-worker cap"
         )
     total = coverage * num_chunks
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(speeds.size, dtype=np.int64)
     # Water-fill the per-worker cap: workers whose proportional share
     # exceeds a full partition are pinned at C and their excess re-spreads
     # over the rest (the paper's "re-assigns these extra chunks to next
     # worker" step, order-independently).
-    active = [int(i) for i in np.flatnonzero(alive)]
+    active = alive.nonzero()[0]
     remaining = total
     while True:
-        share_sum = float(speeds[active].sum())
-        capped = [
-            w for w in active if speeds[w] / share_sum * remaining >= num_chunks
-        ]
-        if not capped:
+        rates = speeds[active]
+        share = rates / float(rates.sum()) * remaining
+        capped = share >= num_chunks
+        n_capped = int(np.count_nonzero(capped))
+        if not n_capped:
             break
-        for w in capped:
-            counts[w] = num_chunks
-            active.remove(w)
-        remaining -= num_chunks * len(capped)
-        if not active:
+        counts[active[capped]] = num_chunks
+        remaining -= num_chunks * n_capped
+        active = active[~capped]
+        if not active.size:
             break
     if remaining > 0:
         # Integerise the proportional shares: floor, then hand out the
         # rounding shortfall one chunk at a time to whichever worker's
-        # finish time (count+1)/speed grows least.  Plain largest-remainder
-        # rounding can give the extra chunk to the *slowest* worker, whose
-        # finish time then dominates the whole iteration at coarse
-        # granularities.
-        share_sum = float(speeds[active].sum())
-        exact = speeds[active] / share_sum * remaining
-        floors = np.floor(exact).astype(np.int64)
+        # finish time (count+1)/speed grows least, ties to the lower
+        # worker.  Plain largest-remainder rounding can give the extra
+        # chunk to the *slowest* worker, whose finish time then dominates
+        # the whole iteration at coarse granularities.  Each worker's
+        # candidate finish times (floor+1)/s, (floor+2)/s, … increase, so
+        # that one-at-a-time greedy is a k-way merge: the first
+        # ``shortfall`` candidates in stable (time, worker) order, with
+        # candidates beyond the cap C dropped.
+        floors = np.floor(share).astype(np.int64)
         counts[active] = floors
         shortfall = remaining - int(floors.sum())
-        for _ in range(shortfall):
-            candidates = [w for w in active if counts[w] < num_chunks]
-            best = min(candidates, key=lambda w: ((counts[w] + 1) / speeds[w], w))
-            counts[best] += 1
+        if shortfall:
+            after = floors[:, None] + np.arange(1, shortfall + 1)
+            open_ = after <= num_chunks
+            finish = (after / rates[:, None])[open_]
+            owner = np.nonzero(open_)[0]
+            picked = owner[np.argsort(finish, kind="stable")[:shortfall]]
+            counts[active] += np.bincount(picked, minlength=active.size)
     if counts.sum() != total or counts.max(initial=0) > num_chunks:
         raise AssertionError("allocation failed to converge")  # pragma: no cover
     return counts
@@ -127,9 +140,10 @@ def wraparound_plan(
 ) -> CodedWorkPlan:
     """Lay out per-worker chunk counts consecutively around the chunk circle.
 
-    Workers are traversed in descending ``counts`` order (matching the
-    allocation walk); each receives the next ``counts[w]`` chunks modulo
-    ``num_chunks``.  Because ``counts`` sums to ``coverage · num_chunks``
+    Workers are traversed in descending ``counts`` order, ties to the lower
+    worker; each receives the next ``counts[w]`` chunks modulo
+    ``num_chunks``, so an arc that runs past the last chunk wraps to chunk
+    0 as a second range.  Because ``counts`` sums to ``coverage · num_chunks``
     and every count is ≤ ``num_chunks``, the resulting plan covers every
     chunk exactly ``coverage`` times.
     """
@@ -142,20 +156,18 @@ def wraparound_plan(
         )
     if counts.max(initial=0) > num_chunks:
         raise ValueError("a worker count exceeds num_chunks")
+    order = np.argsort(-counts, kind="stable")
+    shares = counts[order]
+    begins = ((np.cumsum(shares) - shares) % num_chunks).tolist()
     ranges_per_worker: list[tuple[tuple[int, int], ...]] = [()] * n
-    cursor = 0
-    order = np.lexsort((np.arange(n), -counts))
-    for worker in order:
-        share = int(counts[worker])
+    for worker, share, begin in zip(order.tolist(), shares.tolist(), begins):
         if share == 0:
             continue
-        begin = cursor % num_chunks
         end = begin + share
         if end <= num_chunks:
             ranges_per_worker[worker] = ((begin, end),)
         else:
             ranges_per_worker[worker] = ((begin, num_chunks), (0, end - num_chunks))
-        cursor += share
     assignments = tuple(
         ChunkAssignment(worker=w, ranges=ranges_per_worker[w]) for w in range(n)
     )
@@ -251,12 +263,16 @@ class BasicS2C2Scheduler:
         each.
         """
         speeds = as_speed_matrix(speeds)
-        binary = np.stack([self._classify(row) for row in speeds])
-        return plan_unique_rows(binary, self._plan_binary)
+        return plan_unique_rows(self._classify(speeds), self._plan_binary)
 
     def _classify(self, speeds: np.ndarray) -> np.ndarray:
-        fastest = float(speeds.max(initial=0.0))
-        return np.where(speeds >= self.straggler_threshold * fastest, 1.0, 0.0)
+        """1.0 for fast workers, 0.0 for stragglers, row by row.
+
+        Works on one speed vector or a ``(trials, workers)`` matrix: each
+        row's threshold is scaled by that row's own fastest speed.
+        """
+        fastest = speeds.max(axis=-1, initial=0.0, keepdims=True)
+        return (speeds >= self.straggler_threshold * fastest).astype(np.float64)
 
     def _plan_binary(self, binary: np.ndarray) -> CodedWorkPlan:
         try:

@@ -93,41 +93,64 @@ def repair_assignments(
     """
     speeds = np.asarray(speeds, dtype=np.float64)
     coverage = plan.coverage
-    have = np.zeros(plan.num_chunks, dtype=np.int64)
-    holders: dict[int, set[int]] = {}
-    for worker, chunks in completed.items():
-        chunk_arr = np.asarray(chunks, dtype=np.int64)
-        holders[worker] = set(int(c) for c in chunk_arr)
-        np.add.at(have, chunk_arr, 1)
-    deficit = coverage - have
-    needy = np.flatnonzero(deficit > 0)
+    workers = sorted(completed)
+    held = [np.asarray(completed[w], dtype=np.int64) for w in workers]
+    flat = np.concatenate(held) if held else np.empty(0, dtype=np.int64)
+    deficit = coverage - np.bincount(flat, minlength=plan.num_chunks)
+    needy = (deficit > 0).nonzero()[0]
     if needy.size == 0:
         return {}
-    workers = sorted(completed)
     if not workers:
         raise ValueError("no completed workers to repair with")
-    # Feasibility: chunk c can gain at most one contribution per finished
-    # worker not already holding it.
-    for chunk in needy:
-        eligible = sum(1 for w in workers if chunk not in holders[w])
-        if eligible < deficit[chunk]:
-            raise ValueError(
-                f"chunk {int(chunk)} needs {int(deficit[chunk])} more "
-                f"contributions but only {eligible} finished workers can help"
-            )
-    # Greedy balanced assignment: per chunk, pick the eligible workers with
-    # the smallest (load + 1) / speed — i.e. keep estimated finish times of
-    # the repair work level across workers.
-    load = {w: 0.0 for w in workers}
-    extra: dict[int, list[int]] = {w: [] for w in workers}
-    for chunk in needy:
-        eligible = [w for w in workers if chunk not in holders[w]]
-        eligible.sort(key=lambda w: ((load[w] + 1.0) / max(speeds[w], 1e-12), w))
-        for w in eligible[: int(deficit[chunk])]:
-            extra[w].append(int(chunk))
-            load[w] += 1.0
+    # holds[i, j]: worker ``workers[i]`` already contributed needy chunk j.
+    # Chunk c can gain at most one contribution per finished worker not
+    # already holding it, so feasibility is one reduction over the matrix.
+    holds = np.zeros((len(workers), plan.num_chunks), dtype=bool)
+    holds[np.repeat(np.arange(len(workers)), [a.size for a in held]), flat] = True
+    holds = holds[:, needy]
+    need = deficit[needy]
+    eligible = len(workers) - holds.sum(axis=0)
+    short = (eligible < need).nonzero()[0]
+    if short.size:
+        j = short[0]
+        raise ValueError(
+            f"chunk {int(needy[j])} needs {int(need[j])} more "
+            f"contributions but only {int(eligible[j])} finished workers can help"
+        )
+    # Greedy balanced assignment: per chunk (ascending), pick the eligible
+    # workers with the smallest (load + 1) / speed, ties to the lower
+    # worker — i.e. keep estimated finish times of the repair work level
+    # across workers.  ``key`` caches each worker's current (load + 1) /
+    # speed.  Consecutive needy chunks usually share one holder pattern
+    # and deficit, so the chunks are walked in such runs, each with its
+    # eligible list built once; when a run's deficit takes every eligible
+    # worker (always so when exactly ``coverage`` workers finished), the
+    # keys cannot change the pick and the whole run is handed out at once.
+    rate = np.maximum(speeds[workers], 1e-12).tolist()
+    key = [1.0 / r for r in rate]
+    extra: list[list[int]] = [[] for _ in workers]
+    changed = (holds[:, 1:] != holds[:, :-1]).any(axis=0) | (need[1:] != need[:-1])
+    bounds = [0, *(changed.nonzero()[0] + 1).tolist(), needy.size]
+    chunks, deficits = needy.tolist(), need.tolist()
+    patterns = holds[:, bounds[:-1]].T.tolist()
+    for lo, hi, pattern in zip(bounds, bounds[1:], patterns):
+        eligible_idx = [i for i, h in enumerate(pattern) if not h]
+        d = deficits[lo]
+        if d == len(eligible_idx):
+            for i in eligible_idx:
+                extra[i] += chunks[lo:hi]
+                key[i] = (len(extra[i]) + 1.0) / rate[i]
+            continue
+        for chunk in chunks[lo:hi]:
+            if d == 1:
+                picked = [min(eligible_idx, key=key.__getitem__)]
+            else:
+                picked = sorted(eligible_idx, key=key.__getitem__)[:d]
+            for i in picked:
+                extra[i].append(chunk)
+                key[i] = (len(extra[i]) + 1.0) / rate[i]
     return {
         w: np.asarray(chunks, dtype=np.int64)
-        for w, chunks in extra.items()
+        for w, chunks in zip(workers, extra)
         if chunks
     }
