@@ -11,10 +11,11 @@
 # scripts/coverage_gate.py instead, failing when src/repro line coverage
 # drops below the gate's floor (pytest-cov when installed, a stdlib
 # settrace tracer otherwise).  The optional `perf` target runs only the
-# repository benchmark's traced `matrix` and `paper` workloads once each
-# (perfbench/run.py --trace 1) and fails when either reports a failed
-# invocation: a traced layer boundary the code bypasses, a stdout digest
-# drift, or a broken per-layer expectation.
+# repository benchmark's traced `matrix`, `paper` and `stream` workloads
+# once each (perfbench/run.py --trace 1) and fails when any reports a
+# failed invocation: a traced layer boundary the code bypasses, a stdout
+# digest drift, or a broken per-layer expectation.  `stream` is the one
+# workload on the event kernel, the scenario draws and the quantile fold.
 set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -28,7 +29,7 @@ if [ "$1" = "cov" ]; then
 fi
 
 if [ "$1" = "perf" ]; then
-    for W in matrix paper; do
+    for W in matrix paper stream; do
         echo "== traced benchmark: $W =="
         python3 perfbench/run.py --workload "$W" --seed 1 --seconds 1 --trace 1 \
             | tail -n 1 \

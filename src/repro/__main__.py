@@ -143,6 +143,23 @@ def _cmd_policies(names: list[str]) -> int:
     return 0
 
 
+def _check_scenario(name: str) -> None:
+    """Resolve ``name`` and build one model at the matrix geometry.
+
+    Every scenario-taking subcommand calls this before running anything,
+    so an unknown name *and* a bad parameter value (``netslow(num_slow=-1)``)
+    surface as a ``KeyError`` whose message the caller prints (exit 2),
+    never as a traceback from inside a sweep cell.
+    """
+    from repro.cluster.scenarios import scenario_speed_model
+    from repro.experiments.matrix import N_WORKERS
+
+    try:
+        scenario_speed_model(name, N_WORKERS, seed=0)
+    except (TypeError, ValueError) as error:
+        raise KeyError(f"scenario {name!r}: {error}") from None
+
+
 def _make_runner(args: argparse.Namespace):
     """Build the SweepRunner shared sweep flags describe, or ``None`` (exit 2)."""
     from repro.experiments.sweep import SweepRunner, default_cache_dir
@@ -162,7 +179,6 @@ def _make_runner(args: argparse.Namespace):
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.cluster.scenarios import get_scenario
     from repro.experiments.matrix import run_matrix
     from repro.experiments.sweep import NothingToResumeError
     from repro.scheduling.policies import get_policy
@@ -174,7 +190,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         for name in args.policy or ():
             get_policy(name)
         for name in args.scenario or ():
-            get_scenario(name)
+            _check_scenario(name)
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
@@ -214,7 +230,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     import json
 
-    from repro.cluster.scenarios import get_scenario
     from repro.engine.plan import SEED_STRIDE, SweepContext
     from repro.experiments.matrix import COVERAGE, N_WORKERS
     from repro.scheduling.policies import (
@@ -225,7 +240,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     try:
         spec = get_policy(args.policy)
-        get_scenario(args.scenario)
+        _check_scenario(args.scenario)
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
@@ -287,7 +302,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from repro.cluster.scenarios import get_scenario
     from repro.engine.plan import SEED_STRIDE, SweepContext
     from repro.experiments.matrix import COVERAGE, N_WORKERS
     from repro.profiling import PhaseProfiler, profiled
@@ -298,7 +312,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     try:
         specs = [get_policy(name) for name in policies]
         for name in scenarios:
-            get_scenario(name)
+            _check_scenario(name)
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
@@ -348,7 +362,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.cluster.scenarios import get_scenario
     from repro.experiments.sweep import NothingToResumeError
     from repro.experiments.tournament import run_tournament
     from repro.scheduling.policies import get_policy
@@ -359,7 +372,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         for name in args.policy or ():
             get_policy(name)
         for name in args.scenario or ():
-            get_scenario(name)
+            _check_scenario(name)
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
@@ -396,14 +409,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     import json
 
-    from repro.cluster.scenarios import get_scenario
     from repro.experiments.matrix import _cell
     from repro.experiments.sweep import NothingToResumeError, SweepSpec
     from repro.scheduling.policies import get_policy
 
     try:
         get_policy(args.policy)
-        get_scenario(args.scenario)
+        _check_scenario(args.scenario)
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "as_rng",
     "check_positive_int",
+    "check_nonnegative_int",
     "check_probability",
     "check_fraction",
     "ranges_to_indices",
@@ -40,6 +41,15 @@ def check_positive_int(value: int, name: str) -> int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
+    return int(value)
+
+
+def check_nonnegative_int(value: int, name: str) -> int:
+    """Validate that ``value`` is an integer ``>= 0`` and return it."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
     return int(value)
 
 

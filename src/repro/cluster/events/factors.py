@@ -76,11 +76,16 @@ def link_factors_of(model, iteration: int) -> np.ndarray | None:
 def link_factors_batch(model, iteration: int) -> np.ndarray | None:
     """``(trials, workers)`` factor matrix for a batched speed model.
 
-    :class:`StackedSpeeds` rows are extracted per submodel; any row with
-    no degradation contributes unit factors.  Returns ``None`` when no
-    row degrades anything (the common compute-only case).
+    A trial-axis :class:`StackedSpeeds` hands over its model's whole
+    factor matrix (``None`` for a compute-only model).  Per-trial rows are
+    extracted per submodel; any row with no degradation contributes unit
+    factors.  Returns ``None`` when no row degrades anything (the common
+    compute-only case).
     """
     if isinstance(model, StackedSpeeds):
+        if model.trial_axis is not None:
+            rows = getattr(model.trial_axis, "link_factor_rows", None)
+            return None if rows is None else rows(iteration)
         rows = [link_factors_of(m, iteration) for m in model.models]
         if all(r is None for r in rows):
             return None

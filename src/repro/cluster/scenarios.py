@@ -10,9 +10,10 @@ environment" into a *named scenario* that experiments can sweep over:
   :class:`~repro.cluster.speed_models.SpeedModel` for ``(n_workers, seed)``
   plus declared default parameters;
 * :func:`scenario_speed_model` builds the single-trial model,
-  :func:`scenario_batch` stacks per-trial-seeded models into the
-  ``(trials, workers)`` batch form the vectorized simulators consume —
-  the same scenario therefore drives the scalar *and* the batched paths;
+  :func:`scenario_batch` the ``(trials, workers)`` batch form the
+  vectorized simulators consume (one trial per seed, each replaying its
+  single-trial model exactly) — the same scenario therefore drives the
+  scalar *and* the batched paths;
 * scenario names are plain strings, so a scenario is directly usable as a
   :class:`~repro.experiments.sweep.SweepSpec` axis value (JSON-serialisable,
   picklable across the process pool) and from the CLI
@@ -47,7 +48,12 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro._util import as_rng, check_positive_int, check_probability
+from repro._util import (
+    as_rng,
+    check_nonnegative_int,
+    check_positive_int,
+    check_probability,
+)
 from repro.cluster.speed_models import (
     ConstantSpeeds,
     ControlledSpeeds,
@@ -113,6 +119,12 @@ class ScenarioSpec:
         the resolved composition tree; ``None`` for base scenarios.  The
         digest of a composed spec hashes this structure plus the digests
         of every scenario it is built from, recursively.
+    trial_axis:
+        The builder passes ``seed`` straight to a :class:`GeneratedSpeeds`
+        subclass that implements :meth:`GeneratedSpeeds._step_trials`, so
+        it also accepts a tuple of seeds and returns one model stepping
+        every trial at once (:func:`scenario_batch` then skips the
+        per-trial models).
     """
 
     name: str
@@ -121,19 +133,27 @@ class ScenarioSpec:
     builder: Callable[..., SpeedModel]
     defaults: tuple[tuple[str, Any], ...] = ()
     compose: Any = None
+    trial_axis: bool = False
 
 
 _REGISTRY: dict[str, ScenarioSpec] = {}
 
 
 def register_scenario(
-    name: str, summary: str, models: str = "", **defaults: Any
+    name: str,
+    summary: str,
+    models: str = "",
+    *,
+    trial_axis: bool = False,
+    **defaults: Any,
 ):
     """Decorator: register ``builder(n_workers, seed, **params)`` by name.
 
     ``defaults`` declare the scenario's tunable parameters and their
     default values — the only keyword overrides
-    :func:`scenario_speed_model` will accept.
+    :func:`scenario_speed_model` will accept.  ``trial_axis=True``
+    declares that the builder also accepts a tuple of seeds (see
+    :attr:`ScenarioSpec.trial_axis`).
     """
 
     def decorator(builder: Callable[..., SpeedModel]):
@@ -145,6 +165,7 @@ def register_scenario(
             models=models,
             builder=builder,
             defaults=tuple(sorted(defaults.items())),
+            trial_axis=trial_axis,
         )
         return builder
 
@@ -181,10 +202,15 @@ def get_scenario(name: str) -> ScenarioSpec:
     )
 
 
-def scenario_speed_model(
-    name: str, n_workers: int, seed: int | None = 0, **overrides: Any
-) -> SpeedModel:
-    """Build the named scenario's single-trial speed model."""
+def _resolve_params(
+    name: str, overrides: dict[str, Any]
+) -> tuple[ScenarioSpec, dict[str, Any]]:
+    """The spec that builds ``name`` and its full parameter set.
+
+    A leaf override such as ``netslow(num_slow=1)`` resolves to its base
+    spec with the overrides applied — exactly what its composed builder
+    would build — so it keeps the base scenario's batch route.
+    """
     spec = get_scenario(name)
     params = dict(spec.defaults)
     unknown = set(overrides) - set(params)
@@ -194,22 +220,43 @@ def scenario_speed_model(
             f"tunable: {sorted(params)}"
         )
     params.update(overrides)
+    while spec.compose is not None and spec.compose.kind == "leaf":
+        spec = get_scenario(spec.compose.name)
+        params = {**dict(spec.defaults), **params}
+    return spec, params
+
+
+def scenario_speed_model(
+    name: str, n_workers: int, seed: int | None = 0, **overrides: Any
+) -> SpeedModel:
+    """Build the named scenario's single-trial speed model."""
+    spec, params = _resolve_params(name, overrides)
     return spec.builder(n_workers=n_workers, seed=seed, **params)
 
 
 def scenario_batch(
     name: str, n_workers: int, seeds: Sequence[int], **overrides: Any
 ) -> StackedSpeeds:
-    """Stack one per-seed model per trial into the batch speed form.
+    """The batch speed form of ``name``: one trial per seed.
 
     Trial ``t`` replays exactly what ``scenario_speed_model(name,
     n_workers, seeds[t])`` would produce — the property the batched-vs-loop
-    equivalence tests rely on.
+    equivalence tests rely on.  A :attr:`~ScenarioSpec.trial_axis`
+    scenario is built once over all seeds and steps every trial per
+    round; any other scenario (custom ``_step`` subclasses, composed
+    expressions, ``constant``, ``controlled``, ``traces``) stacks one
+    model per seed.
     """
+    spec, params = _resolve_params(name, overrides)
+    if spec.trial_axis:
+        return StackedSpeeds(
+            trial_axis=spec.builder(
+                n_workers=n_workers, seed=tuple(seeds), **params
+            )
+        )
     return StackedSpeeds(
         tuple(
-            scenario_speed_model(name, n_workers, seed=s, **overrides)
-            for s in seeds
+            spec.builder(n_workers=n_workers, seed=s, **params) for s in seeds
         )
     )
 
@@ -265,37 +312,95 @@ def registry_digest() -> str:
 # ---------------------------------------------------------------------------
 
 
+def _replay(history: list, step, iteration: int) -> np.ndarray:
+    """Memoised draw ``iteration`` of ``step``, generating up to it on demand."""
+    if iteration < 0:
+        raise ValueError("iteration must be >= 0")
+    while len(history) <= iteration:
+        history.append(step(len(history)))
+    return history[iteration]
+
+
 @dataclass
 class GeneratedSpeeds:
     """Base class: seeded iteration-by-iteration generation with replay.
 
-    Subclasses implement :meth:`_step` drawing one ``(n_workers,)`` speed
-    vector from ``self._rng``; draws are memoised so any iteration can be
-    re-queried (unlike :class:`~repro.cluster.speed_models.ControlledSpeeds`,
-    which is strictly sequential).
+    ``seed`` is one seed, or a tuple of seeds for a model that steps one
+    trial per seed together.  Subclasses implement one of two steps:
+
+    * :meth:`_step_trials` (every built-in) advances all trials' state as
+      ``(trials, ...)`` arrays and returns the ``(trials, workers)``
+      speeds, drawing each trial's randomness from its own generator in
+      ``self._rngs`` (:meth:`_uniform`).  Trial ``t`` therefore replays
+      exactly the single-trial model seeded ``seed[t]``, which is the
+      one-trial case of the same code;
+    * :meth:`_step` draws one ``(n_workers,)`` vector from ``self._rng``;
+      such a model has a single trial.
+
+    Draws are memoised so any iteration can be re-queried (unlike
+    :class:`~repro.cluster.speed_models.ControlledSpeeds`, which is
+    strictly sequential).
     """
 
     n_workers: int
-    seed: int | None = 0
+    seed: int | None | tuple[int | None, ...] = 0
+    _rngs: tuple[np.random.Generator, ...] = field(init=False, repr=False)
     _rng: np.random.Generator = field(init=False, repr=False)
     _history: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_workers, "n_workers")
         self._validate()
-        self._rng = as_rng(self.seed)
+        seeds = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if not seeds:
+            raise ValueError("at least one seed is required")
+        if (
+            len(seeds) > 1
+            and type(self)._step_trials is GeneratedSpeeds._step_trials
+        ):
+            raise TypeError(
+                f"{type(self).__name__} steps one trial (_step); build one "
+                "model per seed"
+            )
+        self._rngs = tuple(as_rng(s) for s in seeds)
+        self._rng = self._rngs[0]
         self._history = []
+        self._start(len(seeds))
 
     def _validate(self) -> None:
         """Subclass hook for parameter validation (runs before the RNG)."""
 
+    def _start(self, trials: int) -> None:
+        """Subclass hook: allocate the ``(trials, ...)`` chain state."""
+
+    @property
+    def n_trials(self) -> int:
+        return len(self._rngs)
+
+    def speeds_rows(self, iteration: int) -> np.ndarray:
+        """``(trials, workers)`` speeds for ``iteration`` (memoised replay)."""
+        return _replay(self._history, self._step_trials, iteration).copy()
+
     def speeds(self, iteration: int) -> np.ndarray:
         """Speeds for ``iteration`` (generated on demand, then replayed)."""
-        if iteration < 0:
-            raise ValueError("iteration must be >= 0")
-        while len(self._history) <= iteration:
-            self._history.append(self._step(len(self._history)))
-        return self._history[iteration].copy()
+        return self._one(_replay(self._history, self._step_trials, iteration))
+
+    def _one(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[0] != 1:
+            raise ValueError(
+                f"model steps {rows.shape[0]} trials; use the *_rows methods"
+            )
+        return rows[0].copy()
+
+    def _uniform(self, size: int) -> np.ndarray:
+        """``(trials, size)`` uniforms, row ``t`` from trial ``t``'s generator."""
+        out = np.empty((len(self._rngs), size))
+        for rng, row in zip(self._rngs, out):
+            rng.random(out=row)
+        return out
+
+    def _step_trials(self, iteration: int) -> np.ndarray:
+        return self._step(iteration)[np.newaxis, :]
 
     def _step(self, iteration: int) -> np.ndarray:
         raise NotImplementedError
@@ -323,9 +428,12 @@ class BurstySpeeds(GeneratedSpeeds):
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
 
-    def _step(self, iteration: int) -> np.ndarray:
-        level = 1.0 - self.jitter * self._rng.random(self.n_workers)
-        dips = self._rng.random(self.n_workers) < self.dip_prob
+    def _step_trials(self, iteration: int) -> np.ndarray:
+        # One draw of 2n per trial is its jitter draw then its dip draw.
+        n = self.n_workers
+        u = self._uniform(2 * n)
+        level = 1.0 - self.jitter * u[:, :n]
+        dips = u[:, n:] < self.dip_prob
         return np.where(dips, level * self.dip_depth, level)
 
 
@@ -351,14 +459,24 @@ class MarkovOnOffSpeeds(GeneratedSpeeds):
         check_probability(self.recover_prob, "recover_prob")
         if not 0 < self.slow_speed <= 1:
             raise ValueError("slow_speed must be in (0, 1]")
-        self._slow = np.zeros(self.n_workers, dtype=bool)
 
-    def _step(self, iteration: int) -> np.ndarray:
-        u = self._rng.random(self.n_workers)
+    def _start(self, trials: int) -> None:
+        self._slow = np.zeros((trials, self.n_workers), dtype=bool)
+
+    def _step_trials(self, iteration: int) -> np.ndarray:
+        u = self._uniform(self.n_workers)
         self._slow = np.where(
             self._slow, u >= self.recover_prob, u < self.slow_prob
         )
         return np.where(self._slow, self.slow_speed, 1.0)
+
+
+def _contiguous_racks(n_workers: int, n_racks: int) -> np.ndarray:
+    """Worker → rack index map (contiguous, near-even racks)."""
+    check_positive_int(n_racks, "n_racks")
+    if n_racks > n_workers:
+        raise ValueError("n_racks must be <= n_workers")
+    return np.arange(n_workers) * n_racks // n_workers
 
 
 @dataclass
@@ -381,29 +499,26 @@ class RackSlowdownSpeeds(GeneratedSpeeds):
     _rack_of: np.ndarray = field(init=False, repr=False)
 
     def _validate(self) -> None:
-        check_positive_int(self.n_racks, "n_racks")
-        if self.n_racks > self.n_workers:
-            raise ValueError("n_racks must be <= n_workers")
+        self._rack_of = _contiguous_racks(self.n_workers, self.n_racks)
         check_probability(self.slow_prob, "slow_prob")
         check_probability(self.recover_prob, "recover_prob")
         if not 0 < self.slow_speed <= 1:
             raise ValueError("slow_speed must be in (0, 1]")
-        self._slow = np.zeros(self.n_racks, dtype=bool)
-        self._rack_of = (
-            np.arange(self.n_workers) * self.n_racks // self.n_workers
-        )
+
+    def _start(self, trials: int) -> None:
+        self._slow = np.zeros((trials, self.n_racks), dtype=bool)
 
     @property
     def rack_of(self) -> np.ndarray:
         """Worker → rack index map (contiguous, near-even racks)."""
         return self._rack_of.copy()
 
-    def _step(self, iteration: int) -> np.ndarray:
-        u = self._rng.random(self.n_racks)
+    def _step_trials(self, iteration: int) -> np.ndarray:
+        u = self._uniform(self.n_racks)
         self._slow = np.where(
             self._slow, u >= self.recover_prob, u < self.slow_prob
         )
-        return np.where(self._slow[self._rack_of], self.slow_speed, 1.0)
+        return np.where(self._slow[:, self._rack_of], self.slow_speed, 1.0)
 
 
 @dataclass
@@ -428,10 +543,12 @@ class SpotPreemptionSpeeds(GeneratedSpeeds):
         check_probability(self.restore_prob, "restore_prob")
         if not 0 < self.floor < 1:
             raise ValueError("floor must be in (0, 1)")
-        self._down = np.zeros(self.n_workers, dtype=bool)
 
-    def _step(self, iteration: int) -> np.ndarray:
-        u = self._rng.random(self.n_workers)
+    def _start(self, trials: int) -> None:
+        self._down = np.zeros((trials, self.n_workers), dtype=bool)
+
+    def _step_trials(self, iteration: int) -> np.ndarray:
+        u = self._uniform(self.n_workers)
         self._down = np.where(
             self._down, u >= self.restore_prob, u < self.preempt_prob
         )
@@ -449,29 +566,35 @@ class LinkDegradedSpeeds(GeneratedSpeeds):
     only the event backend (:mod:`repro.cluster.events`) consumes.  Factor
     draws are memoised independently of speed draws, so interleaved
     ``speeds``/``link_factors`` queries replay identically and the RNG is
-    consumed by the factor process alone.
+    consumed by the factor process alone.  Subclasses implement
+    :meth:`_factor_step_trials`, the ``(trials, workers)`` analogue of
+    :meth:`GeneratedSpeeds._step_trials`.
     """
 
+    _ones: np.ndarray = field(init=False, repr=False)
     _factor_history: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._ones = np.ones((self.n_trials, self.n_workers))
         self._factor_history = []
 
-    def _step(self, iteration: int) -> np.ndarray:
-        return np.ones(self.n_workers)
+    def _step_trials(self, iteration: int) -> np.ndarray:
+        return self._ones  # reads copy, so one shared matrix serves every round
+
+    def link_factor_rows(self, iteration: int) -> np.ndarray:
+        """``(trials, workers)`` link factors for ``iteration`` (memoised)."""
+        return _replay(
+            self._factor_history, self._factor_step_trials, iteration
+        ).copy()
 
     def link_factors(self, iteration: int) -> np.ndarray:
         """Per-worker link factors for ``iteration`` (memoised replay)."""
-        if iteration < 0:
-            raise ValueError("iteration must be >= 0")
-        while len(self._factor_history) <= iteration:
-            self._factor_history.append(
-                self._factor_step(len(self._factor_history))
-            )
-        return self._factor_history[iteration].copy()
+        return self._one(
+            _replay(self._factor_history, self._factor_step_trials, iteration)
+        )
 
-    def _factor_step(self, iteration: int) -> np.ndarray:
+    def _factor_step_trials(self, iteration: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -487,25 +610,22 @@ class NetworkSlowSpeeds(LinkDegradedSpeeds):
 
     num_slow: int = 2
     slowdown: float = 4.0
-    _slow_links: np.ndarray | None = field(
-        init=False, repr=False, default=None
-    )
+    _factors: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def _validate(self) -> None:
-        if not isinstance(self.num_slow, (int, np.integer)) or self.num_slow < 0:
-            raise ValueError(f"num_slow must be an int >= 0, got {self.num_slow!r}")
+        check_nonnegative_int(self.num_slow, "num_slow")
         if self.num_slow > self.n_workers:
             raise ValueError("num_slow must be <= n_workers")
         if self.slowdown < 1:
             raise ValueError("slowdown must be >= 1")
 
-    def _factor_step(self, iteration: int) -> np.ndarray:
-        if self._slow_links is None:
-            slow = self._rng.permutation(self.n_workers)[: self.num_slow]
-            mask = np.zeros(self.n_workers, dtype=bool)
-            mask[slow] = True
-            self._slow_links = mask
-        return np.where(self._slow_links, 1.0 / self.slowdown, 1.0)
+    def _factor_step_trials(self, iteration: int) -> np.ndarray:
+        if self._factors is None:
+            slow = np.zeros((self.n_trials, self.n_workers), dtype=bool)
+            for rng, row in zip(self._rngs, slow):
+                row[rng.permutation(self.n_workers)[: self.num_slow]] = True
+            self._factors = np.where(slow, 1.0 / self.slowdown, 1.0)
+        return self._factors
 
 
 @dataclass
@@ -527,25 +647,22 @@ class RackCongestSpeeds(LinkDegradedSpeeds):
     _rack_of: np.ndarray = field(init=False, repr=False)
 
     def _validate(self) -> None:
-        check_positive_int(self.n_racks, "n_racks")
-        if self.n_racks > self.n_workers:
-            raise ValueError("n_racks must be <= n_workers")
+        self._rack_of = _contiguous_racks(self.n_workers, self.n_racks)
         check_probability(self.congest_prob, "congest_prob")
         check_probability(self.recover_prob, "recover_prob")
         if self.slowdown < 1:
             raise ValueError("slowdown must be >= 1")
-        self._congested = np.zeros(self.n_racks, dtype=bool)
-        self._rack_of = (
-            np.arange(self.n_workers) * self.n_racks // self.n_workers
-        )
 
-    def _factor_step(self, iteration: int) -> np.ndarray:
-        u = self._rng.random(self.n_racks)
+    def _start(self, trials: int) -> None:
+        self._congested = np.zeros((trials, self.n_racks), dtype=bool)
+
+    def _factor_step_trials(self, iteration: int) -> np.ndarray:
+        u = self._uniform(self.n_racks)
         self._congested = np.where(
             self._congested, u >= self.recover_prob, u < self.congest_prob
         )
         return np.where(
-            self._congested[self._rack_of], 1.0 / self.slowdown, 1.0
+            self._congested[:, self._rack_of], 1.0 / self.slowdown, 1.0
         )
 
 
@@ -566,8 +683,8 @@ class LinkBurstySpeeds(LinkDegradedSpeeds):
         if not 0 < self.dip_depth <= 1:
             raise ValueError("dip_depth must be in (0, 1]")
 
-    def _factor_step(self, iteration: int) -> np.ndarray:
-        dips = self._rng.random(self.n_workers) < self.dip_prob
+    def _factor_step_trials(self, iteration: int) -> np.ndarray:
+        dips = self._uniform(self.n_workers) < self.dip_prob
         return np.where(dips, self.dip_depth, 1.0)
 
 
@@ -627,6 +744,7 @@ def _build_controlled(
     "bursty",
     "memoryless one-iteration co-tenant dips",
     models="transient interference bursts (paper section 3.2 dips)",
+    trial_axis=True,
     dip_prob=0.08,
     dip_depth=0.25,
     jitter=0.1,
@@ -647,6 +765,7 @@ def _build_bursty(
     "markov",
     "per-worker fast/slow Markov chain (geometric straggle spells)",
     models="persistent-but-finite stragglers (paper section 7.1 generalised)",
+    trial_axis=True,
     slow_prob=0.05,
     recover_prob=0.3,
     slowdown=5.0,
@@ -673,6 +792,7 @@ def _build_markov(
     "rack",
     "correlated rack-level slowdown (whole racks straggle together)",
     models="shared ToR-switch / power events; adversarial for n-k slack",
+    trial_axis=True,
     n_racks=3,
     slow_prob=0.05,
     recover_prob=0.25,
@@ -702,6 +822,7 @@ def _build_rack(
     "spot",
     "spot-instance preemption with delayed replacement",
     models="preemptible VMs: near-dead slots until a replacement arrives",
+    trial_axis=True,
     preempt_prob=0.03,
     restore_prob=0.2,
     floor=0.02,
@@ -748,6 +869,7 @@ def _build_traces(
     "persistent per-worker link slowdown; compute stays healthy",
     models="oversubscribed NICs / flaky cables — event backend only "
     "(closed form sees constant speeds)",
+    trial_axis=True,
     num_slow=2,
     slowdown=4.0,
 )
@@ -764,6 +886,7 @@ def _build_netslow(
     "rack-correlated Markov link congestion (whole racks' transfers stall)",
     models="saturated ToR uplinks — event backend only (closed form sees "
     "constant speeds)",
+    trial_axis=True,
     n_racks=3,
     congest_prob=0.08,
     recover_prob=0.3,
@@ -792,6 +915,7 @@ def _build_rackcongest(
     "memoryless one-iteration link-bandwidth dips",
     models="transient cross-traffic bursts — event backend only (closed "
     "form sees constant speeds)",
+    trial_axis=True,
     dip_prob=0.1,
     dip_depth=0.2,
 )

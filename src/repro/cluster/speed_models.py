@@ -30,7 +30,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro._util import as_rng, check_positive_int
+from repro._util import as_rng, check_nonnegative_int, check_positive_int
 
 __all__ = [
     "SpeedModel",
@@ -115,7 +115,8 @@ class ControlledSpeeds:
 
     def __post_init__(self) -> None:
         check_positive_int(self.n_workers, "n_workers")
-        if not 0 <= self.num_stragglers <= self.n_workers:
+        check_nonnegative_int(self.num_stragglers, "num_stragglers")
+        if self.num_stragglers > self.n_workers:
             raise ValueError("num_stragglers must be in [0, n_workers]")
         if self.slowdown < 1:
             raise ValueError("slowdown must be >= 1")
@@ -230,15 +231,24 @@ class StackedSpeeds:
     ``models[t]`` (typically the same model class seeded per trial), so a
     batched simulation consumes the identical speed draws a per-trial loop
     would — the property the batched-vs-loop equivalence tests rely on.
-    Generation cost is linear in trials, which is negligible next to the
-    simulation itself; the payoff is the stacked ``(trials, workers)``
-    matrix the vectorized simulators operate on.
+    The per-trial route costs one Python ``speeds`` call per trial and
+    round.  A ``trial_axis`` model instead steps every trial at once:
+    ``trial_axis.speeds_rows(iteration)`` returns the whole
+    ``(trials, workers)`` matrix, drawing each trial from its own
+    generator in the per-trial order (the built-in generated scenarios,
+    see :func:`repro.cluster.scenarios.scenario_batch`).  Pass exactly
+    one of ``models`` and ``trial_axis``.
     """
 
-    models: tuple[SpeedModel, ...]
+    models: tuple[SpeedModel, ...] = ()
+    trial_axis: object | None = None
 
     def __post_init__(self) -> None:
         models = tuple(self.models)
+        if self.trial_axis is not None:
+            if models:
+                raise ValueError("pass models or trial_axis, not both")
+            return
         if not models:
             raise ValueError("at least one model is required")
         widths = {m.n_workers for m in models}
@@ -248,13 +258,19 @@ class StackedSpeeds:
 
     @property
     def n_workers(self) -> int:
+        if self.trial_axis is not None:
+            return self.trial_axis.n_workers
         return self.models[0].n_workers
 
     @property
     def n_trials(self) -> int:
+        if self.trial_axis is not None:
+            return self.trial_axis.n_trials
         return len(self.models)
 
     def speeds_batch(self, iteration: int) -> np.ndarray:
+        if self.trial_axis is not None:
+            return self.trial_axis.speeds_rows(iteration)
         return np.stack([m.speeds(iteration) for m in self.models])
 
 

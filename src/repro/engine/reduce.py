@@ -56,6 +56,7 @@ merges, P²); ``tests/engine/test_reduce.py`` asserts each claim.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -414,56 +415,95 @@ def _p2_new(prob: float) -> dict:
     return {"p": prob, "init": [], "heights": [], "pos": []}
 
 
-def _p2_update(state: dict, x: float) -> None:
-    """Feed one observation into a P² estimator (Jain & Chlamtac '85)."""
+def _p2_feed(state: dict, xs: list) -> None:
+    """Feed plain floats, in order, into a P² estimator (Jain & Chlamtac '85).
+
+    One loop with the five marker heights ``q0..q4`` and positions
+    ``n0..n4`` in locals and the three inner-marker moves unrolled.  The
+    markers never fall out of order, so the cell holding ``x`` is one
+    four-way compare; every float expression is the textbook update's,
+    evaluated in the same order: a parabolic (P²) height, falling back
+    to linear toward the neighbour when it would leave the markers
+    unordered.
+    """
     p = state["p"]
-    if state["pos"] == []:
-        state["init"].append(x)
-        if len(state["init"]) == 5:
-            state["heights"] = sorted(state["init"])
-            state["pos"] = [1.0, 2.0, 3.0, 4.0, 5.0]
-            state["init"] = []
-        return
-    q, n = state["heights"], state["pos"]
-    if x < q[0]:
-        q[0] = x
-        k = 0
-    elif x >= q[4]:
-        q[4] = x
-        k = 3
-    else:
-        k = next(i for i in range(4) if q[i] <= x < q[i + 1])
-    for i in range(k + 1, 5):
-        n[i] += 1.0
-    count = n[4]
-    desired = [
-        1.0,
-        1.0 + (count - 1.0) * p / 2.0,
-        1.0 + (count - 1.0) * p,
-        1.0 + (count - 1.0) * (1.0 + p) / 2.0,
-        count,
-    ]
-    for i in (1, 2, 3):
-        d = desired[i] - n[i]
-        if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-            d <= -1.0 and n[i - 1] - n[i] < -1.0
-        ):
+    start = 0
+    if not state["pos"]:
+        init = state["init"]
+        for x in xs:
+            start += 1
+            init.append(x)
+            if len(init) == 5:
+                state["heights"] = sorted(init)
+                state["pos"] = [1.0, 2.0, 3.0, 4.0, 5.0]
+                state["init"] = []
+                break
+        else:
+            return
+    q0, q1, q2, q3, q4 = state["heights"]
+    n0, n1, n2, n3, n4 = state["pos"]
+    for x in xs[start:] if start else xs:
+        if x < q0:
+            q0 = x
+            n1 += 1.0
+            n2 += 1.0
+            n3 += 1.0
+        elif x >= q4:
+            q4 = x
+        elif x < q1:
+            n1 += 1.0
+            n2 += 1.0
+            n3 += 1.0
+        elif x < q2:
+            n2 += 1.0
+            n3 += 1.0
+        elif x < q3:
+            n3 += 1.0
+        n4 += 1.0
+        d = 1.0 + (n4 - 1.0) * p / 2.0 - n1
+        if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n0 - n1 < -1.0):
             d = 1.0 if d >= 0 else -1.0
-            # Parabolic (P²) adjustment, falling back to linear when it
-            # would leave the markers unordered.
-            hp = q[i] + d / (n[i + 1] - n[i - 1]) * (
-                (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
+            hp = q1 + d / (n2 - n0) * (
+                (n1 - n0 + d) * (q2 - q1) / (n2 - n1)
+                + (n2 - n1 - d) * (q1 - q0) / (n1 - n0)
             )
-            if not q[i - 1] < hp < q[i + 1]:
-                hp = q[i] + d * (q[i + int(d)] - q[i]) / (n[i + int(d)] - n[i])
-            q[i] = hp
-            n[i] += d
-
-
-def _p2_feed(state: dict, xs: np.ndarray) -> None:
-    for x in xs:
-        _p2_update(state, float(x))
+            if not q0 < hp < q2:
+                if d > 0:
+                    hp = q1 + d * (q2 - q1) / (n2 - n1)
+                else:
+                    hp = q1 + d * (q0 - q1) / (n0 - n1)
+            q1 = hp
+            n1 += d
+        d = 1.0 + (n4 - 1.0) * p - n2
+        if (d >= 1.0 and n3 - n2 > 1.0) or (d <= -1.0 and n1 - n2 < -1.0):
+            d = 1.0 if d >= 0 else -1.0
+            hp = q2 + d / (n3 - n1) * (
+                (n2 - n1 + d) * (q3 - q2) / (n3 - n2)
+                + (n3 - n2 - d) * (q2 - q1) / (n2 - n1)
+            )
+            if not q1 < hp < q3:
+                if d > 0:
+                    hp = q2 + d * (q3 - q2) / (n3 - n2)
+                else:
+                    hp = q2 + d * (q1 - q2) / (n1 - n2)
+            q2 = hp
+            n2 += d
+        d = 1.0 + (n4 - 1.0) * (1.0 + p) / 2.0 - n3
+        if (d >= 1.0 and n4 - n3 > 1.0) or (d <= -1.0 and n2 - n3 < -1.0):
+            d = 1.0 if d >= 0 else -1.0
+            hp = q3 + d / (n4 - n2) * (
+                (n3 - n2 + d) * (q4 - q3) / (n4 - n3)
+                + (n4 - n3 - d) * (q3 - q2) / (n3 - n2)
+            )
+            if not q2 < hp < q4:
+                if d > 0:
+                    hp = q3 + d * (q4 - q3) / (n4 - n3)
+                else:
+                    hp = q3 + d * (q2 - q3) / (n2 - n3)
+            q3 = hp
+            n3 += d
+    state["heights"] = [q0, q1, q2, q3, q4]
+    state["pos"] = [n0, n1, n2, n3, n4]
 
 
 def _p2_merge(a: dict, b: dict) -> dict:
@@ -474,10 +514,10 @@ def _p2_merge(a: dict, b: dict) -> dict:
     approximation (hence the ``quantile`` reducer claims neither exact
     associativity nor commutativity; the reservoir half is exact).
     """
-    if b["pos"] == [] and b["init"]:
-        # b still collecting its first five observations: replay them.
-        for x in b["init"]:
-            _p2_update(a, x)
+    if not b["pos"]:
+        # b still collecting its first five observations (or empty):
+        # replay them.
+        _p2_feed(a, b["init"])
         return a
     if a["pos"] == []:
         if not a["init"]:
@@ -489,8 +529,7 @@ def _p2_merge(a: dict, b: dict) -> dict:
             "heights": list(b["heights"]),
             "pos": list(b["pos"]),
         }
-        for x in pending:
-            _p2_update(a, x)
+        _p2_feed(a, pending)
         return a
     na, nb = a["pos"][4], b["pos"][4]
     total = na + nb
@@ -532,14 +571,15 @@ class _QuantileKernel:
         order = np.argsort(priorities, kind="stable")[:RESERVOIR_CAPACITY]
         sample = [[int(priorities[i]), float(xs[i])] for i in order]
         p2 = [_p2_new(p) for p in QUANTILE_PROBES]
+        values = xs.tolist()
         for state in p2:
-            _p2_feed(state, xs)
+            _p2_feed(state, values)
         return {"count": int(xs.shape[0]), "sample": sample, "p2": p2}
 
     def merge(self, a, b):
         a["count"] += b["count"]
         sample = a["sample"] + b["sample"]
-        sample.sort(key=lambda pair: pair[0])
+        sample.sort(key=itemgetter(0))
         a["sample"] = sample[:RESERVOIR_CAPACITY]
         a["p2"] = [_p2_merge(sa, sb) for sa, sb in zip(a["p2"], b["p2"])]
         return a

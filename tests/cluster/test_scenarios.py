@@ -8,13 +8,22 @@ the shared contracts (positivity, seeded determinism, random-access
 replay, batch trial-for-trial equivalence with single-trial models).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scenario_oracles
 from repro.cluster import scenarios as scn
 from repro.cluster.scenarios import (
     BurstySpeeds,
+    GeneratedSpeeds,
+    LinkBurstySpeeds,
     MarkovOnOffSpeeds,
+    NetworkSlowSpeeds,
+    RackCongestSpeeds,
     RackSlowdownSpeeds,
     ScenarioSpec,
     SpotPreemptionSpeeds,
@@ -25,6 +34,7 @@ from repro.cluster.scenarios import (
     scenario_batch,
     scenario_speed_model,
 )
+from repro.cluster.events.factors import link_factors_batch, link_factors_of
 from repro.cluster.speed_models import ConstantSpeeds
 from repro.prediction.traces import VOLATILE, generate_speed_traces
 
@@ -40,8 +50,29 @@ BUILT_INS = (
 )
 
 
+#: The network-straggler trio: healthy compute, degraded link factors.
+NETWORK = ("netslow", "rackcongest", "linkbursty")
+#: Scenarios whose batch steps every trial at once.
+TRIAL_AXIS = ("bursty", "markov", "rack", "spot") + NETWORK
+ITERATIONS = 12
+
+
 def _stack(model, iterations: int) -> np.ndarray:
     return np.stack([model.speeds(i) for i in range(iterations)])
+
+
+def _assert_factor_rows(batch, models, iteration: int) -> None:
+    """``link_factors_batch`` row ``t`` is ``link_factors_of(models[t])``."""
+    factors = link_factors_batch(batch, iteration)
+    rows = [link_factors_of(m, iteration) for m in models]
+    if all(row is None for row in rows):
+        assert factors is None
+        return
+    assert factors.shape == (len(models), batch.n_workers)
+    for got, row in zip(factors, rows):
+        np.testing.assert_array_equal(
+            got, np.ones(batch.n_workers) if row is None else row
+        )
 
 
 class TestRegistry:
@@ -110,22 +141,221 @@ class TestSharedContracts:
         np.testing.assert_array_equal(earlier, fresh.speeds(2))
         np.testing.assert_array_equal(later, fresh.speeds(5))
 
-    @pytest.mark.parametrize("name", BUILT_INS)
+    @pytest.mark.parametrize("name", BUILT_INS + NETWORK)
     def test_batch_matches_singles(self, name):
+        # 12 rounds: long enough for every Markov / rack / spot /
+        # congestion chain to change state at these seeds.
         seeds = [2, 9, 23]
         batch = scenario_batch(name, N, seeds)
         assert batch.n_trials == len(seeds) and batch.n_workers == N
-        for it in range(4):
+        for it in range(ITERATIONS):
             got = batch.speeds_batch(it)
             assert got.shape == (len(seeds), N)
         singles = [
-            _stack(scenario_speed_model(name, N, seed=s), 4) for s in seeds
+            _stack(scenario_speed_model(name, N, seed=s), ITERATIONS)
+            for s in seeds
         ]
         fresh_batch = scenario_batch(name, N, seeds)
-        for it in range(4):
+        for it in range(ITERATIONS):
             got = fresh_batch.speeds_batch(it)
             for t in range(len(seeds)):
                 np.testing.assert_array_equal(got[t], singles[t][it])
+        models = [scenario_speed_model(name, N, seed=s) for s in seeds]
+        for it in range(ITERATIONS):
+            _assert_factor_rows(batch, models, it)
+        if name in ("markov", "rack", "spot"):
+            assert np.any(np.diff(np.stack(singles), axis=1) != 0)
+        if name == "rackcongest":
+            factors = [link_factors_batch(batch, it) for it in range(ITERATIONS)]
+            assert np.any(np.diff(np.stack(factors), axis=0) != 0)
+
+
+class TestTrialAxisDraws:
+    """Trial-axis batches replay per-seed models under any query order."""
+
+    @pytest.mark.parametrize("name", TRIAL_AXIS)
+    def test_built_ins_step_on_the_trial_axis(self, name):
+        batch = scenario_batch(name, N, [1, 2])
+        assert batch.trial_axis is not None and batch.models == ()
+
+    @pytest.mark.parametrize(
+        "name", ("constant", "controlled", "traces", "mix(bursty,netslow)")
+    )
+    def test_other_scenarios_stack_per_seed_models(self, name):
+        batch = scenario_batch(name, N, [1, 2])
+        assert batch.trial_axis is None and len(batch.models) == 2
+
+    def test_leaf_override_keeps_the_trial_axis(self):
+        name = "netslow(num_slow=1,slowdown=2.0)"
+        seeds = [4, 5, 6]
+        batch = scenario_batch(name, N, seeds)
+        assert batch.trial_axis is not None
+        models = [scenario_speed_model(name, N, seed=s) for s in seeds]
+        for it in range(3):
+            _assert_factor_rows(batch, models, it)
+
+    @pytest.mark.parametrize("name", TRIAL_AXIS)
+    def test_interleaved_random_access_replay(self, name):
+        seeds = [3, 14, 15, 92]
+        models = [scenario_speed_model(name, N, seed=s) for s in seeds]
+        speeds = np.stack([_stack(m, ITERATIONS) for m in models], axis=1)
+        batch = scenario_batch(name, N, seeds)
+        order = np.random.default_rng(7).permutation(2 * ITERATIONS)
+        for step in list(order) + list(order[::-1]):
+            it = int(step) % ITERATIONS
+            if step < ITERATIONS:
+                np.testing.assert_array_equal(batch.speeds_batch(it), speeds[it])
+            else:
+                _assert_factor_rows(batch, models, it)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(TRIAL_AXIS),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+        n_workers=st.integers(1, 16),
+        data=st.data(),
+    )
+    def test_batch_matches_singles_property(self, name, seeds, n_workers, data):
+        overrides = {}
+        if name in ("rack", "rackcongest"):
+            overrides["n_racks"] = data.draw(
+                st.one_of(st.just(n_workers), st.integers(1, n_workers)),
+                label="n_racks",
+            )
+        if name == "netslow":
+            overrides["num_slow"] = data.draw(
+                st.integers(0, n_workers), label="num_slow"
+            )
+        batch = scenario_batch(name, n_workers, seeds, **overrides)
+        models = [
+            scenario_speed_model(name, n_workers, seed=s, **overrides)
+            for s in seeds
+        ]
+        for it in range(ITERATIONS):
+            got = batch.speeds_batch(it)
+            for t, model in enumerate(models):
+                np.testing.assert_array_equal(got[t], model.speeds(it))
+            _assert_factor_rows(batch, models, it)
+
+    def test_runtime_scenario_with_a_1d_step_stays_per_trial(self, monkeypatch):
+        # The docs/scenarios.md example: a custom subclass defining only
+        # the 1-D ``_step`` is stacked one model per seed, bitwise.
+        @dataclass
+        class DiurnalSpeeds(GeneratedSpeeds):
+            period: int = 24
+            depth: float = 0.5
+
+            def _step(self, iteration: int) -> np.ndarray:
+                wave = 1.0 - self.depth * (
+                    0.5 + 0.5 * np.sin(2 * np.pi * iteration / self.period)
+                )
+                jitter = 1.0 - 0.05 * self._rng.random(self.n_workers)
+                return wave * jitter
+
+        monkeypatch.setattr(scn, "_REGISTRY", dict(scn._REGISTRY))
+        register_scenario("diurnal", "load wave", period=24, depth=0.5)(
+            lambda n_workers, seed, period, depth: DiurnalSpeeds(
+                n_workers, seed=seed, period=period, depth=depth
+            )
+        )
+        seeds = [0, 8, 21]
+        batch = scenario_batch("diurnal", N, seeds, period=5)
+        assert batch.trial_axis is None and len(batch.models) == len(seeds)
+        for t, seed in enumerate(seeds):
+            expected = DiurnalSpeeds(N, seed=seed, period=5)
+            for it in range(ITERATIONS):
+                np.testing.assert_array_equal(
+                    batch.speeds_batch(it)[t], expected.speeds(it)
+                )
+        with pytest.raises(TypeError, match="one model per seed"):
+            DiurnalSpeeds(N, seed=(1, 2))
+
+    def test_runtime_trial_axis_scenario(self, monkeypatch):
+        # The docs/scenarios.md recipe for trial-axis stepping.
+        @dataclass
+        class StickySpeeds(GeneratedSpeeds):
+            def _start(self, trials: int) -> None:
+                self._level = np.ones((trials, self.n_workers))
+
+            def _step_trials(self, iteration: int) -> np.ndarray:
+                self._level = np.minimum(self._level, self._uniform(self.n_workers))
+                return self._level + 0.1
+
+        monkeypatch.setattr(scn, "_REGISTRY", dict(scn._REGISTRY))
+        register_scenario("sticky", "running minimum", trial_axis=True)(
+            lambda n_workers, seed: StickySpeeds(n_workers, seed=seed)
+        )
+        seeds = [4, 40, 400]
+        batch = scenario_batch("sticky", N, seeds)
+        assert batch.trial_axis is not None
+        singles = [_stack(scenario_speed_model("sticky", N, seed=s), 6) for s in seeds]
+        for it in range(6):
+            np.testing.assert_array_equal(
+                batch.speeds_batch(it), np.stack([m[it] for m in singles])
+            )
+
+
+#: Each trial-axis class, its per-trial oracle, and parameters that make
+#: every chain move within ``ITERATIONS`` rounds.
+ORACLE_CASES = {
+    "bursty": (
+        BurstySpeeds,
+        scenario_oracles.BurstySpeeds,
+        {"dip_prob": 0.3, "dip_depth": 0.4, "jitter": 0.2},
+    ),
+    "markov": (
+        MarkovOnOffSpeeds,
+        scenario_oracles.MarkovOnOffSpeeds,
+        {"slow_prob": 0.3, "recover_prob": 0.4, "slow_speed": 0.2},
+    ),
+    "rack": (
+        RackSlowdownSpeeds,
+        scenario_oracles.RackSlowdownSpeeds,
+        {"n_racks": 4, "slow_prob": 0.3, "recover_prob": 0.3, "slow_speed": 0.25},
+    ),
+    "spot": (
+        SpotPreemptionSpeeds,
+        scenario_oracles.SpotPreemptionSpeeds,
+        {"preempt_prob": 0.2, "restore_prob": 0.3, "floor": 0.05},
+    ),
+    "netslow": (
+        NetworkSlowSpeeds,
+        scenario_oracles.NetworkSlowSpeeds,
+        {"num_slow": 3, "slowdown": 2.0},
+    ),
+    "rackcongest": (
+        RackCongestSpeeds,
+        scenario_oracles.RackCongestSpeeds,
+        {"n_racks": 4, "congest_prob": 0.3, "recover_prob": 0.3, "slowdown": 3.0},
+    ),
+    "linkbursty": (
+        LinkBurstySpeeds,
+        scenario_oracles.LinkBurstySpeeds,
+        {"dip_prob": 0.3, "dip_depth": 0.5},
+    ),
+}
+
+
+class TestPerTrialOracle:
+    """Trial-axis draws equal the original one-model-per-seed classes."""
+
+    @pytest.mark.parametrize("n_workers", [5, 12])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_rows_match_per_seed_oracles(self, name, n_workers):
+        new_cls, old_cls, params = ORACLE_CASES[name]
+        seeds = (0, 5, 77, 2**31)
+        batch = new_cls(n_workers, seed=seeds, **params)
+        olds = [old_cls(n_workers, seed=s, **params) for s in seeds]
+        network = hasattr(old_cls, "link_factors")
+        for it in range(ITERATIONS):
+            np.testing.assert_array_equal(
+                batch.speeds_rows(it), np.stack([m.speeds(it) for m in olds])
+            )
+            if network:
+                np.testing.assert_array_equal(
+                    batch.link_factor_rows(it),
+                    np.stack([m.link_factors(it) for m in olds]),
+                )
 
 
 class TestConstant:

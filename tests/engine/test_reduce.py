@@ -346,3 +346,19 @@ class TestQuantileSummary:
         # The kept subsample depends only on global trial indices, never
         # on the shard decomposition.
         assert a["sample"] == b["sample"]
+
+    def test_empty_shard_after_markers_is_a_no_op(self):
+        # A zero-trial update once the P² markers exist used to index the
+        # empty state's positions (IndexError).
+        reducer = get_reducer("quantile")
+        full = reducer.update(reducer.init(), list(np.arange(10.0)), 0, 10)
+        expected = reducer.finalize(copy.deepcopy(full))
+        state = reducer.update(full, [], 10, 0)
+        assert reducer.finalize(state) == expected
+
+    def test_merge_with_empty_state_keeps_the_full_one(self):
+        reducer = get_reducer("quantile")
+        full = reducer.update(reducer.init(), list(np.arange(10.0)), 0, 10)
+        empty = reducer.update(reducer.init(), [], 10, 0)
+        expected = reducer.finalize(copy.deepcopy(full))
+        assert reducer.finalize(reducer.merge(full, empty)) == expected

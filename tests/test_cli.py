@@ -322,6 +322,62 @@ class TestBenchSweepTags:
         assert bench.build_parser().parse_args([]).profile is False
 
 
+class TestScenarioParameterCli:
+    """Bad scenario parameter values exit 2 and name the parameter.
+
+    Every subcommand that takes a scenario expression builds one model
+    from it before running anything, so a value the scenario rejects
+    never reaches a sweep cell as a traceback.
+    """
+
+    @pytest.mark.parametrize(
+        "expression,param",
+        [
+            ("netslow(num_slow=-1)", "num_slow"),
+            ("netslow(num_slow=1.5)", "num_slow"),
+            ("netslow(num_slow=99)", "num_slow"),
+            ("scale(controlled(num_stragglers=2.5),factor=0.5)", "num_stragglers"),
+            ("controlled(num_stragglers=-2)", "num_stragglers"),
+        ],
+    )
+    def test_stream_exits_2_naming_parameter(self, capsys, expression, param):
+        argv = [
+            "stream", "--quick", "--policy", "mds", "--scenario", expression,
+            "--trials", "4", "--no-cache",
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert param in captured.err and expression in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "--quick", "--no-cache", "--policy", "mds", "--scenario"],
+            ["fuzz", "--quick", "--no-cache", "--scenarios", "1", "--scenario"],
+            ["tune", "--quick", "--trials", "1", "--scenario"],
+            ["profile", "--quick", "--trials", "1", "--policy", "mds", "--scenario"],
+        ],
+        ids=["matrix", "fuzz", "tune", "profile"],
+    )
+    def test_every_scenario_flag_validates_parameters(self, capsys, argv):
+        assert main([*argv, "netslow(num_slow=-1)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "num_slow" in captured.err
+
+    def test_bool_and_float_counts_are_rejected_by_the_models(self):
+        from repro.cluster.scenarios import scenario_speed_model
+
+        for name, param in (("netslow", "num_slow"), ("controlled", "num_stragglers")):
+            for value in (True, 2.0):
+                with pytest.raises(TypeError, match=param):
+                    scenario_speed_model(name, 12, **{param: value})
+            model = scenario_speed_model(name, 12, **{param: 0})
+            assert model.speeds(0).shape == (12,)
+
+
 class TestCliValidation:
     """Bad --jobs/--trials/--executor values: exit 2, message names the flag.
 
