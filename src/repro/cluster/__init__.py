@@ -5,13 +5,15 @@
 * :class:`~repro.cluster.speed_models.ControlledSpeeds` /
   :class:`~repro.cluster.speed_models.TraceSpeeds` — actual-speed processes.
 * :class:`~repro.cluster.simulator.CodedIterationSim` and friends — exact
-  per-iteration timelines for every strategy.
+  per-iteration timelines for every strategy; the coded one has one
+  batched closed-form kernel shared by both backends.
 * :mod:`repro.cluster.scenarios` — the pluggable straggler-scenario
   registry (named speed processes, sweepable by string).
-* :mod:`repro.cluster.events` — the discrete-event backend: explicit
-  network links, rack topology, and the ``EventDrivenIterationSim``
-  selectable wherever ``CodedIterationSim`` runs (kept out of this
-  namespace so the closed-form core imports without it).
+* :mod:`repro.cluster.events` — the discrete-event backend and the one
+  scalar coded semantics: explicit network links, rack topology, and the
+  ``EventDrivenIterationSim`` that ``CodedIterationSim.run`` hands each
+  iteration to (kept out of this namespace, and imported lazily there,
+  so the closed-form core imports without it).
 * :class:`~repro.cluster.local.LocalMDSExecutor` — real multiprocessing
   execution of coded jobs (correctness path).
 """

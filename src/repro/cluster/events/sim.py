@@ -1,33 +1,23 @@
-"""Event-driven coded-iteration simulator: the network-aware backend.
+"""Event-driven coded-iteration simulator: the scalar semantics of record.
 
 :class:`EventDrivenIterationSim` replays one coded iteration as a
 discrete-event timeline — broadcast transmissions, per-worker compute,
 result replies, §4.3 repair traffic — over an explicit
-:class:`~repro.cluster.events.topology.Topology` of links, instead of
-evaluating the closed form.  It subclasses
-:class:`~repro.cluster.simulator.CodedIterationSim` so the cost helpers
-(``_arrival``'s constituents, ``_progress_rows``, the timeout deadline)
-are literally the same code, and accepts the same plans and speed
-matrices.
+:class:`~repro.cluster.events.topology.Topology` of links.  It subclasses
+:class:`~repro.cluster.simulator.CodedIterationSim`, shares its cost
+helpers and accepts the same plans and speed matrices.
 
-**Equivalence contract.**  With the default :class:`EventConfig`
-(dedicated duplex links, zero encode cost, zero-byte repair requests,
-unit link factors) every float operation mirrors the closed form's
-association order exactly:
-
-* a result arrives at ``((recv + fixed) + compute) + reply`` where
-  ``recv`` equals the broadcast time and ``reply`` equals
-  ``NetworkModel.transfer_time`` bitwise (uncontended factor-1 links);
-* the §4.3 deadline arms from the same ``np.mean`` over the same sorted
-  arrival slice; repair dispatch lands at ``cutoff + latency`` because a
-  zero-byte request costs exactly one latency; the cutoff search, greedy
-  reassignment, opportunistic acceptance, and the wasted-work accounting
-  replay :meth:`CodedIterationSim.run` step for step.
-
-The pinned suites assert bitwise equality in the zero-network limit
-(infinite bandwidth, zero latency) for every registered policy × scenario
-pair — where transfers vanish and even degraded link factors are
-irrelevant — and under the default controlled network for unit factors.
+**One scalar semantics.**  This event loop is the only scalar coded
+timeline in the package: :meth:`CodedIterationSim.run` hands each
+iteration to it under the identity :class:`EventConfig` (dedicated duplex
+links, zero encode cost, zero-byte repair requests) and unit link
+factors.  There a result arrives at ``((recv + fixed) + compute) +
+reply`` with ``recv`` the nominal broadcast time, the §4.3 deadline arms
+from the ``np.mean`` of the first ``k`` sorted arrivals, and repair
+dispatch lands at ``cutoff + latency`` because a zero-byte request costs
+exactly one latency.  The pinned suites hold the closed-form kernel to
+these values bitwise, and pin the zero-network limit (infinite bandwidth,
+zero latency), where even degraded link factors are irrelevant.
 
 What the closed form structurally cannot express, this backend adds:
 encode cost before the broadcast, per-worker link degradation
@@ -35,23 +25,19 @@ encode cost before the broadcast, per-worker link degradation
 where repair traffic queues behind result traffic, and result-shuffle
 transfers after decode.
 
-**Batched kernel.**  :meth:`EventDrivenIterationSim.run_batch` does not
+**Batched path.**  :meth:`EventDrivenIterationSim.run_batch` does not
 loop the event loop per trial.  On dedicated duplex links every link
 carries at most one transmission per direction per phase, so the
 timeline is queue-free and the pop order is fully determined by the
-analytic schedule: ``recv = encode_end + (latency + bytes/(bw*factor))``
-per worker, ``arrival = ((recv + fixed) + compute) + reply``, k-of-n
-completion by a sorted-arrival reduction, and §4.3 arming by comparing
-the natural completion against the vectorized deadline.  Those
-``(trials, workers)`` arrays reproduce the event loop's floats bitwise
-(same association order, term by term).  A conservative divergence
-detector routes the rest to the scalar loop: topologies where events can
-queue (``rack_size``, ``shuffle_output``) replay every trial, and armed
-trials replay unless the repair round is provably queue-free too (unit
-link factors, zero encode cost, zero-byte repair requests) — in which
-case the closed form's native repair resolution applies unchanged.  The
-pinned batch suites fuzz this contract: batched output bitwise-equal to
-the per-trial loop for every route.
+analytic schedule.  It therefore runs the closed form's shared batched
+kernel with this backend's link terms (receipt ``encode_end + (latency
++ bytes/(bw·factor))``, reply bandwidth ``bw·factor``).  A conservative
+divergence detector routes the rest to the scalar loop: topologies where
+events can queue (``rack_size``, ``shuffle_output``) replay every trial,
+and armed trials replay unless the repair round is provably queue-free
+too (unit link factors, zero encode cost, zero-byte repair requests).
+The pinned batch suites fuzz this contract: batched output
+bitwise-equal to the per-trial loop for every route.
 """
 
 from __future__ import annotations
@@ -65,6 +51,7 @@ from repro.cluster.simulator import (
     CodedIterationOutcome,
     CodedIterationSim,
     WorkerIterationStats,
+    _check_failed,
     _empty_batch_outcome,
     _normalise_batch,
 )
@@ -95,8 +82,8 @@ _PRIORITY = {
 class EventConfig:
     """Knobs of the event backend beyond the closed form's reach.
 
-    Every default is the *identity* setting under which the event
-    timeline is bitwise-equal to :meth:`CodedIterationSim.run`:
+    Every default is the *identity* setting, the one
+    :meth:`CodedIterationSim.run` simulates under:
 
     encode_flops:
         Master-side encode work paid before the broadcast (delays every
@@ -192,6 +179,7 @@ class EventDrivenIterationSim(CodedIterationSim):
         if np.any(speeds <= 0):
             raise ValueError("actual speeds must be positive (model failures "
                              "via failed_workers)")
+        _check_failed(failed_workers, n)
         factors = self._check_factors(link_factors, n)
 
         loop = EventLoop()
@@ -214,13 +202,12 @@ class EventDrivenIterationSim(CodedIterationSim):
                 active.append(w)
 
         # --- Phase 0: encode + broadcast transmissions. --------------------
-        bw_bytes = (
-            self.broadcast_width if self.broadcast_width is not None else self.width
-        ) * self.cost.bytes_per_element
         broadcast = self._broadcast_cost  # nominal (reported)
         encode_end = self.config.encode_flops / self.cost.master_flops
         for w in range(n):
-            recv = topology.send_down(w, encode_end, bw_bytes, factors[w])
+            recv = topology.send_down(
+                w, encode_end, self._broadcast_bytes, factors[w]
+            )
             loop.schedule(
                 Event(time=recv, kind="recv", worker=w),
                 _PRIORITY["recv"],
@@ -281,8 +268,10 @@ class EventDrivenIterationSim(CodedIterationSim):
                 )
             elif event.kind == "arrival":
                 arrivals[w] = event.time
-                # Incremental coverage walk, mirroring the closed-form
-                # sorted-arrival pass (pop order == (arrivals[w], w)).
+                # Incremental coverage walk in arrival order (pop order ==
+                # (arrivals[w], w)): each worker's useful chunks are the
+                # ones still lacking coverage (the master uses the first
+                # ``coverage`` results per chunk and ignores the rest, §2).
                 if done_time == np.inf:
                     chunks = plan.assignments[w].chunk_indices()
                     useful = chunks[need[chunks] > 0]
@@ -465,7 +454,15 @@ class EventDrivenIterationSim(CodedIterationSim):
         projected: dict[int, float],
         deadline: float,
     ):
-        """§4.3 cutoff search at the timeout pop, mirroring ``_attempt_repair``.
+        """§4.3 cutoff search at the timeout pop.
+
+        Cancel the laggards at the deadline and reassign their chunks to
+        the finished workers plus the idle ones (assigned nothing, but
+        holding their coded partitions, §4.4).  When no reassignment
+        restores coverage, the master waits for the next response and
+        tries again, so only unreachable coverage makes repair fail.
+        Returns ``(finished, extra, extra_rows, laggards, cutoff)`` or
+        ``None`` (the master waits for stragglers).
 
         Arrival estimates use realised pop times where available and the
         uncontended link projection otherwise — identical values on
@@ -510,27 +507,14 @@ class EventDrivenIterationSim(CodedIterationSim):
         return None
 
     @staticmethod
-    def _check_factors(link_factors, n: int) -> np.ndarray:
+    def _check_factors(link_factors, *shape: int) -> np.ndarray:
+        """Validated ``shape`` link factors (all ones when ``None``)."""
         if link_factors is None:
-            return np.ones(n)
+            return np.ones(shape)
         factors = np.asarray(link_factors, dtype=np.float64)
-        if factors.shape != (n,):
+        if factors.shape != shape:
             raise ValueError(
-                f"link_factors must have shape ({n},), got {factors.shape}"
-            )
-        if not np.all(np.isfinite(factors)) or np.any(factors <= 0):
-            raise ValueError("link factors must be positive and finite")
-        return factors
-
-    @staticmethod
-    def _check_factors_batch(link_factors, trials: int, n: int) -> np.ndarray:
-        if link_factors is None:
-            return np.ones((trials, n))
-        factors = np.asarray(link_factors, dtype=np.float64)
-        if factors.shape != (trials, n):
-            raise ValueError(
-                f"link_factors must have shape ({trials}, {n}), "
-                f"got {factors.shape}"
+                f"link_factors must have shape {shape}, got {factors.shape}"
             )
         if not np.all(np.isfinite(factors)) or np.any(factors <= 0):
             raise ValueError("link factors must be positive and finite")
@@ -549,123 +533,58 @@ class EventDrivenIterationSim(CodedIterationSim):
     ) -> BatchCodedOutcome:
         """Batched event simulation, bitwise-equal to looping :meth:`run`.
 
-        On dedicated duplex links the event timeline is queue-free, so
-        the per-trial schedules are precomputed as ``(trials, workers)``
-        arrays mirroring the event loop's float-operation order term by
-        term (see the module docstring).  Trials whose event ordering can
-        actually diverge from that schedule — shared-rack or shuffle
-        topologies, and repair-armed trials whose repair round is not
-        provably queue-free — are replayed through the scalar event loop,
-        so the fast path never has to be trusted beyond what the schedule
-        proves.  ``link_factors`` is a ``(trials, workers)`` matrix (or
-        ``None``).
+        On dedicated duplex links the event timeline is queue-free, so it
+        runs through the shared closed-form kernel
+        (:meth:`CodedIterationSim._batch_kernel`) with this backend's link
+        terms: broadcast receipt ``encode_end + (latency + bytes /
+        (bandwidth · factor))`` and reply bandwidth ``bandwidth · factor``.
+        Armed trials resolve natively only where the repair round is
+        provably queue-free too (unit factors, zero encode cost, zero-byte
+        repair requests); those, plans of a general shape, and every trial
+        of a shared-rack or shuffle topology replay through the scalar
+        event loop.  ``link_factors`` is a ``(trials, workers)`` matrix
+        (or ``None``).
         """
         speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
         n = speeds.shape[1]
         plan_list = self._batch_plan_list(plans, trials, n)
-        factors = self._check_factors_batch(link_factors, trials, n)
-        factor_rows: list[np.ndarray | None] = (
-            [None] * trials
-            if link_factors is None
-            else [factors[t] for t in range(trials)]
+        factors = (
+            None if link_factors is None
+            else self._check_factors(link_factors, trials, n)
         )
-        broadcast = self._broadcast_cost
 
-        def replay(out: BatchCodedOutcome, indices) -> None:
-            """Scalar event loop as the semantics of record for ``indices``."""
-            for t in indices:
-                outcome = self.run(
-                    plan_list[t], speeds[t], failed_list[t], factor_rows[t]
-                )
-                out.completion_time[t] = outcome.completion_time
-                out.decode_time[t] = outcome.decode_time
-                out.repaired[t] = outcome.repaired
-                stats = outcome.workers
-                out.assigned_rows[t] = [s.assigned_rows for s in stats]
-                out.computed_rows[t] = [s.computed_rows for s in stats]
-                out.used_rows[t] = [s.used_rows for s in stats]
-                # The batch contract counts a response only when it was
-                # accepted (a late response recorded during a rejected
-                # repair probe stays a cancellation).
-                out.responded[t] = [
-                    s.response_time is not None and not s.cancelled
-                    for s in stats
-                ]
+        def run_one(t: int) -> CodedIterationOutcome:
+            row = None if factors is None else factors[t]
+            return self.run(plan_list[t], speeds[t], failed_list[t], row)
 
         if self.config.rack_size is not None or self.config.shuffle_output:
             # Shared ToR links queue repair behind result traffic, and the
             # shuffle reuses down-links: event ordering genuinely matters.
-            out = _empty_batch_outcome(np.zeros((trials, n), np.int64), broadcast)
-            with span("replay"):
-                replay(out, range(trials))
+            out = _empty_batch_outcome(
+                np.zeros((trials, n), np.int64), self._broadcast_cost
+            )
+            self._replay(out, np.ones(trials, dtype=bool), run_one)
             return out
 
-        with span("plan"):
-            profiles, rows_mat, kinds, coverages, failed_mask = self._profile_batch(
-                plan_list, failed_list, n
-            )
-            active = rows_mat > 0
-
-        # The analytic schedule, mirroring the scalar event handlers'
-        # float-op order term by term (queue-free on dedicated links).
         with span("broadcast"):
-            bw_bytes = (
-                self.broadcast_width
-                if self.broadcast_width is not None
-                else self.width
-            ) * self.cost.bytes_per_element
-            encode_end = self.config.encode_flops / self.cost.master_flops
-            recv = encode_end + (
-                self.network.latency
-                + bw_bytes / (self.network.bandwidth * factors)
+            bandwidth = self.network.bandwidth
+            if factors is not None:
+                bandwidth = bandwidth * factors
+            recv = self.config.encode_flops / self.cost.master_flops + (
+                self.network.latency + self._broadcast_bytes / bandwidth
             )
-        with span("compute"):
-            denom = self.cost.worker_flops * speeds
-            fixed = self.fixed_task_flops / denom
-            compute = (rows_mat * self.width * self.cost.flops_per_element) / denom
-            compute_end = (recv + fixed) + compute
-        with span("reply"):
-            reply_bytes = float(self.cost.row_bytes(self.width_out))
-            arrivals = compute_end + (
-                self.network.latency
-                + (rows_mat * reply_bytes) / (self.network.bandwidth * factors)
-            )
-            arrivals[failed_mask | ~active] = np.inf
-            done, sorted_arr = self._natural_done(arrivals, active, kinds, coverages)
-
-        # §4.3 arming and the divergence detector.  The vectorized arming
-        # test uses analytic event times, which the loop's causality clamp
-        # never alters, so it is exact on dedicated links for any factors;
-        # the *resolution* is only native when the repair round itself is
-        # queue-free and mirrors the closed form bitwise (unit factors,
-        # zero encode cost, zero-byte repair requests).
-        out = _empty_batch_outcome(rows_mat, broadcast)
-        with span("repair"):
-            deadlines = self._batch_deadlines(sorted_arr, coverages)
-            general = kinds == "general"
-            armed = ~general & ~np.isnan(deadlines) & (done > deadlines)
-            native_ok = (
-                self.config.encode_flops == 0.0
-                and self.config.repair_request_bytes == 0.0
-            )
-            unit_links = np.all(factors == 1.0, axis=1)
-            fallback = general | (armed & ~(native_ok & unit_links))
-            armed_native = armed & ~fallback
-            if np.any(armed_native):
-                self._resolve_armed(
-                    out, armed_native, plan_list, profiles, speeds, arrivals,
-                    deadlines, done, failed_list,
-                )
-
-        # Partial progress of cancelled stragglers: the event accounting
-        # starts each worker's clock at its recv time.
-        self._settle_natural(
-            out, ~fallback & ~out.repaired, recv, done, arrivals, rows_mat,
-            failed_mask, denom, fixed, kinds, coverages, profiles,
+        # The kernel's arming test reads analytic event times, which the
+        # loop's causality clamp never alters, so it is exact on dedicated
+        # links for any factors; the *resolution* is native only where the
+        # repair round is queue-free too.
+        native = (
+            self.config.encode_flops == 0.0
+            and self.config.repair_request_bytes == 0.0
         )
-
-        if np.any(fallback):
-            with span("replay"):
-                replay(out, np.flatnonzero(fallback))
-
+        if factors is not None:
+            native = native & np.all(factors == 1.0, axis=1)
+        out, replay = self._batch_kernel(
+            plan_list, speeds, failed_list, recv, bandwidth, native
+        )
+        self._replay(out, replay, run_one)
         return out

@@ -2,11 +2,10 @@
 
 Because worker speeds are constant within an iteration (the measurement
 granularity of the paper, §6.2), one iteration's timeline is a deterministic
-function of the work plan, the actual speeds, and the cost models — so each
-simulator computes the exact event times in closed form instead of running a
-generic event loop.  Mid-iteration control decisions (speculative execution
-in the replication baseline, §4.3 timeout repair in S2C2) are points on that
-timeline and are resolved exactly.
+function of the work plan, the actual speeds, and the cost models.
+Mid-iteration control decisions (speculative execution in the replication
+baseline, §4.3 timeout repair in S2C2) are points on that timeline and are
+resolved exactly.
 
 Three simulators, one per strategy family:
 
@@ -23,22 +22,28 @@ per-worker computed/used row counts (the wasted-computation accounting of
 Figs 9/11), the bytes moved for load balancing, and the *contributions* the
 master actually uses — which the runtime layer then executes numerically.
 
-Batched Monte-Carlo trials
---------------------------
-:meth:`CodedIterationSim.run_batch` simulates a whole ``(trials, workers)``
-speed matrix in one call.  The two plan shapes every scheduler here produces
-— *full* plans (conventional coded computation: everyone computes
-everything) and *exact-coverage* plans (S2C2's no-wasted-work wraparound
-layout) — admit closed-form batch timelines, so arrivals, completion times
-and the computed/used accounting are evaluated with stacked numpy arrays
-across all trials at once.  Trials that arm the §4.3 timeout are resolved
-*natively* on the batch path: the repair decision replays on the already
-vectorized arrival matrix and cached per-plan chunk geometry — closed-form
-repair arrivals, opportunistic-straggler acceptance, and the timed-out
-progress accounting mirror :meth:`~CodedIterationSim.run` float-op for
-float-op, so repair-armed trials stay bitwise-equal to a per-trial loop
-without paying the scalar simulator's per-worker row expansion.  Only plans
-of an unclassifiable shape delegate to the scalar path.
+One coded-iteration timeline
+----------------------------
+The coded timeline — broadcast, per-worker compute and reply, k-of-n or
+exact coverage, then the §4.3 timeout repair — has one scalar semantics
+and one batched kernel:
+
+* The discrete-event loop of
+  :class:`~repro.cluster.events.EventDrivenIterationSim` is the semantics
+  of record.  :meth:`CodedIterationSim.run` hands each iteration to it
+  under the identity event configuration (dedicated, undegraded links).
+* :meth:`CodedIterationSim._batch_kernel` evaluates the same timeline in
+  closed form for a ``(trials, workers)`` speed matrix.  On the two plan
+  shapes every scheduler here produces — *full* plans (conventional coded
+  computation: everyone computes everything) and *exact-coverage* plans
+  (S2C2's no-wasted-work wraparound layout) — arrivals, completion, §4.3
+  arming and the computed/used accounting are stacked numpy arrays, and
+  repair-armed trials resolve natively on the arrival matrix.  Per-worker
+  link terms parameterise it, so both backends' ``run_batch`` share it.
+  Trials it cannot settle (plans of any other shape, armed trials whose
+  repair round may queue) replay through the scalar ``run``, so a batch
+  stays bitwise-equal to a per-trial loop.
+
 :meth:`ReplicationIterationSim.run_batch` vectorizes the arrival
 computation and resolves the (inherently sequential) speculation decisions
 per trial; :meth:`OverDecompositionIterationSim.run_batch` stacks the
@@ -49,7 +54,7 @@ all trials at once, with the same bitwise-equality contract.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +107,22 @@ def _normalise_batch(
             raise ValueError(
                 f"got {len(failed_list)} failure sets for {trials} trials"
             )
+    for failed in set(failed_list):
+        _check_failed(failed, speeds.shape[1])
     return speeds, trials, failed_list
+
+
+def _check_failed(failed_workers: frozenset[int], n: int) -> None:
+    """Reject failure indices outside ``[0, n)``.
+
+    Array indexing would wrap ``-1`` onto the last worker, and scalar
+    membership tests would silently ignore ``n``.
+    """
+    for w in failed_workers:
+        if not 0 <= w < n:
+            raise ValueError(
+                f"failed worker index {w} is out of range for {n} workers"
+            )
 
 
 @dataclass
@@ -253,6 +273,12 @@ class CodedIterationSim:
     timeout: TimeoutPolicy | None = None
 
     @functools.cached_property
+    def _broadcast_bytes(self) -> float:
+        """Size of the broadcast operand every worker receives."""
+        width = self.broadcast_width if self.broadcast_width is not None else self.width
+        return width * self.cost.bytes_per_element
+
+    @functools.cached_property
     def _broadcast_cost(self) -> float:
         """Broadcast transfer time, computed once per simulator instance.
 
@@ -262,13 +288,14 @@ class CodedIterationSim:
         recomputed per trial.  (``functools.cached_property`` writes the
         instance ``__dict__`` directly, which frozen dataclasses permit.)
         """
-        return self.network.transfer_time(
-            (self.broadcast_width if self.broadcast_width is not None else self.width)
-            * self.cost.bytes_per_element
-        )
+        return self.network.transfer_time(self._broadcast_bytes)
 
     def _arrival(self, rows: int, speed: float, start: float) -> float:
-        """Absolute arrival time at the master of a ``rows``-row task."""
+        """Absolute arrival time at the master of a ``rows``-row task.
+
+        The event loop's dispatch → compute → reply chain on an idle,
+        factor-1 link, float-op for float-op.
+        """
         compute = self.cost.compute_time(rows, self.width, speed)
         fixed = self.fixed_task_flops / (self.cost.worker_flops * speed)
         reply = self.network.transfer_time(
@@ -296,219 +323,20 @@ class CodedIterationSim:
         from different, predicted speeds — that gap is what the timeout
         mechanism repairs).  ``failed_workers`` never respond, regardless
         of speed.
+
+        The discrete-event loop is the one scalar semantics: this hands
+        the iteration to :class:`~repro.cluster.events.EventDrivenIterationSim`
+        under the identity :class:`~repro.cluster.events.EventConfig` and
+        unit link factors, where its timeline is exactly the closed form.
         """
-        speeds = np.asarray(speeds, dtype=np.float64)
-        n = plan.n_workers
-        if speeds.shape != (n,):
-            raise ValueError(f"speeds must have shape ({n},), got {speeds.shape}")
-        if np.any(speeds <= 0):
-            raise ValueError("actual speeds must be positive (model failures "
-                             "via failed_workers)")
-        broadcast = self._broadcast_cost
-        stats = [WorkerIterationStats(worker=w) for w in range(n)]
-        chunk_rows = {
-            w: self.grid.rows_of_chunks(plan.assignments[w].chunk_indices())
-            for w in range(n)
-        }
-        arrivals: dict[int, float] = {}
-        active: list[int] = []
-        for w in range(n):
-            rows = int(chunk_rows[w].size)
-            stats[w].assigned_rows = rows
-            if rows == 0:
-                continue
-            active.append(w)
-            if w in failed_workers:
-                arrivals[w] = np.inf
-            else:
-                arrivals[w] = self._arrival(rows, speeds[w], broadcast)
+        # Imported here: ``events.sim`` subclasses this module, and
+        # ``repro.cluster`` must import without ``repro.cluster.events``.
+        from repro.cluster.events.sim import EventDrivenIterationSim
 
-        # --- Find the natural coverage-completion time. ---------------------
-        # Walk arrivals in time order; each worker's *useful* chunks are the
-        # ones still lacking coverage when it arrives (the master uses the
-        # first `coverage` results per chunk and ignores the rest, §2).
-        order = sorted(active, key=lambda w: (arrivals[w], w))
-        need = np.full(plan.num_chunks, plan.coverage, dtype=np.int64)
-        natural: dict[int, np.ndarray] = {}
-        done_time = np.inf
-        for w in order:
-            if arrivals[w] == np.inf:
-                break
-            chunks = plan.assignments[w].chunk_indices()
-            useful = chunks[need[chunks] > 0]
-            if useful.size:
-                natural[w] = useful
-                need[useful] -= 1
-                if not need.any():
-                    done_time = arrivals[w]
-                    break
-        contributions: dict[int, np.ndarray] = {}
-        repaired = False
-        timed_out: frozenset[int] = frozenset()
-        extra_rows: dict[int, int] = {}
-        repair_arrival = 0.0
-
-        deadline = self._timeout_deadline(plan, order, arrivals)
-        if (
-            self.timeout is not None
-            and deadline is not None
-            and done_time > deadline
-        ):
-            # Workers that were assigned no chunks this iteration still
-            # hold their full encoded partitions (§4.4): the master can
-            # recruit them for repair work alongside the finished workers.
-            idle_alive = [
-                w
-                for w in range(n)
-                if plan.assignments[w].num_chunks == 0 and w not in failed_workers
-            ]
-            outcome = self._attempt_repair(
-                plan, speeds, arrivals, order, deadline, stats, idle_alive
-            )
-            # Opportunistic repair: the master keeps accepting straggler
-            # results while the reassigned work is in flight, so repair
-            # only shortens the iteration when it actually finishes first.
-            if outcome is not None and outcome[3] < done_time:
-                (contributions, extra_rows, timed_out, repair_arrival) = outcome
-                repaired = True
-                done_time = repair_arrival
-
-        if not repaired:
-            if done_time == np.inf:
-                raise RuntimeError(
-                    "iteration cannot complete: coverage unsatisfiable with "
-                    "the surviving workers and no repair possible"
-                )
-            contributions = natural
-
-        # --- Accounting: computed vs used rows per worker. ------------------
-        for w in active:
-            rows = stats[w].assigned_rows
-            if repaired and w in timed_out:
-                stats[w].cancelled = True
-                cap_time = deadline if deadline is not None else done_time
-                if w in failed_workers:
-                    stats[w].computed_rows = 0.0
-                else:
-                    stats[w].computed_rows = self._progress_rows(
-                        speeds[w], broadcast, cap_time, rows
-                    )
-                continue
-            if arrivals[w] <= done_time:
-                stats[w].computed_rows = float(rows)
-                stats[w].response_time = arrivals[w]
-            else:
-                # Still running when the master finished: cancelled.
-                stats[w].cancelled = True
-                if w in failed_workers:
-                    stats[w].computed_rows = 0.0
-                else:
-                    stats[w].computed_rows = self._progress_rows(
-                        speeds[w], broadcast, done_time, rows
-                    )
-        for w, chunks in contributions.items():
-            base_chunks = plan.assignments[w].chunk_indices()
-            used = self.grid.rows_of_chunks(np.asarray(chunks, dtype=np.int64))
-            stats[w].used_rows = int(used.size)
-            if repaired and w in extra_rows:
-                stats[w].computed_rows = float(
-                    self.grid.rows_of_chunks(base_chunks).size + extra_rows[w]
-                )
-        decode = self.cost.decode_time(
-            rows=self.grid.rows,
-            coverage=plan.coverage,
-            width_out=self.width_out,
-            groups=max(1, len(contributions)),
+        event = EventDrivenIterationSim(
+            **{f.name: getattr(self, f.name) for f in fields(CodedIterationSim)}
         )
-        return CodedIterationOutcome(
-            completion_time=done_time + decode,
-            broadcast_time=broadcast,
-            decode_time=decode,
-            workers=stats,
-            contributions=contributions,
-            repaired=repaired,
-            timed_out_workers=timed_out,
-        )
-
-    def _timeout_deadline(
-        self,
-        plan: CodedWorkPlan,
-        order: list[int],
-        arrivals: dict[int, float],
-    ) -> float | None:
-        """§4.3: deadline armed after the first ``k`` responses, or None.
-
-        When fewer than ``k`` workers can ever respond (failures among the
-        assigned set), the deadline arms from every response that does
-        arrive — a real master cannot distinguish "slow" from "dead" and
-        must eventually time out either way.
-        """
-        if self.timeout is None:
-            return None
-        k = self.timeout.min_responses or plan.coverage
-        finite = [arrivals[w] for w in order if arrivals[w] < np.inf]
-        if not finite:
-            return None
-        first_k = sorted(finite)[: min(k, len(finite))]
-        return self.timeout.deadline(float(np.mean(first_k)))
-
-    def _attempt_repair(
-        self,
-        plan: CodedWorkPlan,
-        speeds: np.ndarray,
-        arrivals: dict[int, float],
-        order: list[int],
-        deadline: float,
-        stats: list[WorkerIterationStats],
-        idle_alive: list[int] | None = None,
-    ):
-        """Cancel laggards at ``deadline`` and reassign their chunks.
-
-        ``idle_alive`` workers (assigned nothing, but holding their coded
-        partitions and presumed responsive) are recruited as additional
-        repair helpers.  When reassignment among the workers finished *by
-        the deadline* cannot restore coverage (e.g. several laggards but a
-        dead worker among them), the master keeps collecting responses and
-        re-attempts at each subsequent arrival — so only genuinely
-        unreachable coverage makes repair fail.  Returns
-        ``(contributions, extra_rows, timed_out, finish_time)`` or ``None``
-        (the master then falls back to waiting — §4.4).
-        """
-        later_arrivals = sorted(
-            arrivals[w] for w in order if deadline < arrivals[w] < np.inf
-        )
-        for cutoff in [deadline, *later_arrivals]:
-            finished = {
-                w: plan.assignments[w].chunk_indices()
-                for w in order
-                if arrivals[w] <= cutoff
-            }
-            for w in idle_alive or ():
-                finished.setdefault(w, np.empty(0, dtype=np.int64))
-            laggards = frozenset(w for w in order if arrivals[w] > cutoff)
-            if not laggards or not finished:
-                return None
-            try:
-                extra = repair_assignments(plan, finished, speeds)
-            except ValueError:
-                continue  # wait for the next response, then reconsider
-            contributions: dict[int, np.ndarray] = {
-                w: chunks.copy() for w, chunks in finished.items()
-            }
-            extra_rows: dict[int, int] = {}
-            finish = cutoff
-            dispatch = cutoff + self.network.latency  # reassignment message
-            for w, chunks in extra.items():
-                rows = self.grid.rows_of_chunks(chunks)
-                extra_rows[w] = int(rows.size)
-                arrival = self._arrival(int(rows.size), speeds[w], dispatch)
-                finish = max(finish, arrival)
-                contributions[w] = np.concatenate([contributions[w], chunks])
-            for w, stat in enumerate(stats):
-                if w in finished and w in arrivals:
-                    stat.response_time = arrivals[w]
-            return contributions, extra_rows, laggards, finish
-        return None
+        return event.run(plan, speeds, failed_workers)
 
     # ------------------------------------------------------------------
     # Batched Monte-Carlo path
@@ -523,7 +351,7 @@ class CodedIterationSim:
         range per worker, and "exact" is a per-plan difference-array
         coverage count equal to the plan's coverage on every chunk — a few
         array passes per batch instead of expanding 10k-chunk index arrays
-        the way the scalar path does.
+        the way the event loop does.
         """
         n = plans[0].n_workers
         m = len(plans)
@@ -567,7 +395,7 @@ class CodedIterationSim:
     ) -> np.ndarray:
         """Per-trial §4.3 deadlines (NaN where the timeout cannot arm).
 
-        Mirrors :meth:`_timeout_deadline` per trial: the mean of the first
+        The event loop's arming rule per trial: the mean of the first
         ``min(k, finite)`` sorted arrivals.  Trials are grouped by that
         slice length and each group reduced with one ``np.mean(axis=1)``
         over a contiguous copy — the same per-row pairwise summation as
@@ -601,13 +429,14 @@ class CodedIterationSim:
     ):
         """Resolve the §4.3 repair decision for one armed trial, natively.
 
-        Mirrors :meth:`_attempt_repair` plus :meth:`run`'s repaired-branch
-        accounting on the batch path's precomputed arrival row and the
-        plan profile's cached chunk geometry — every float operation
-        (repair arrivals via :meth:`_arrival`, cancelled progress via
-        :meth:`_progress_rows`, the greedy :func:`repair_assignments`)
-        is the same code the scalar path runs, so results are bitwise
-        identical without re-simulating the whole trial.
+        Mirrors the event loop's cutoff search, opportunistic acceptance
+        and repaired-branch accounting on the kernel's arrival row and the
+        plan profile's cached chunk geometry.  It applies only where the
+        repair round is queue-free (unit links, zero encode cost,
+        zero-byte requests): there every float operation (repair arrivals
+        via :meth:`_arrival`, cancelled progress via :meth:`_progress_rows`,
+        the greedy :func:`repair_assignments`) is the same value the
+        event loop computes, without re-simulating the whole trial.
 
         Returns ``None`` when the master falls back to waiting for
         stragglers (no feasible reassignment, or the repair would finish
@@ -700,24 +529,50 @@ class CodedIterationSim:
             A single frozenset applied to every trial, or one per trial.
 
         Returns per-trial results exactly equal to looping
-        :meth:`run` — full and exact-coverage plans take closed-form
-        vectorized timelines, repair-armed trials are resolved natively on
-        those timelines (see :meth:`_repair_batch_trial`); only plans of
-        any other shape are delegated to the scalar path.
+        :meth:`run` — full and exact-coverage plans take the closed-form
+        kernel (see :meth:`_batch_kernel`), repair-armed trials included;
+        only plans of any other shape replay through the scalar path.
         """
         speeds, trials, failed_list = _normalise_batch(speeds, failed_workers)
+        plan_list = self._batch_plan_list(plans, trials, speeds.shape[1])
+        with span("broadcast"):
+            broadcast = self._broadcast_cost
+        out, replay = self._batch_kernel(
+            plan_list, speeds, failed_list, broadcast, self.network.bandwidth, True
+        )
+        self._replay(
+            out, replay, lambda t: self.run(plan_list[t], speeds[t], failed_list[t])
+        )
+        return out
+
+    def _batch_kernel(
+        self, plan_list, speeds, failed_list, recv, reply_bandwidth, native
+    ) -> tuple[BatchCodedOutcome, np.ndarray]:
+        """The one batched coded-iteration timeline, shared by both backends.
+
+        Per-worker link terms parameterise it: ``recv`` is when each
+        worker holds the broadcast (the nominal broadcast cost, or a
+        ``(trials, workers)`` matrix of link receipt times) and
+        ``reply_bandwidth`` the bandwidth of each worker's reply link.  A
+        result then arrives at ``((recv + fixed) + compute) + (latency +
+        bytes / reply_bandwidth)`` — the scalar event handlers' float-op
+        order term by term, so every value is bitwise the event loop's.
+        ``native`` says, per trial (or for all), whether an armed §4.3
+        repair may resolve on the arrival matrix; elsewhere armed trials,
+        like every trial of a general plan, are left for replay.
+
+        Returns the outcome, filled for every trial the kernel settled,
+        and the mask of trials the caller must replay through its scalar
+        ``run``.
+        """
         n = speeds.shape[1]
-        plan_list = self._batch_plan_list(plans, trials, n)
         with span("plan"):
             profiles, rows_mat, kinds, coverages, failed_mask = self._profile_batch(
                 plan_list, failed_list, n
             )
             active = rows_mat > 0
-
-        # Arrivals, mirroring _arrival()'s float-op order term by term so
-        # batched values are bit-identical to the scalar path.
-        with span("broadcast"):
-            broadcast = self._broadcast_cost
+            full_rows = kinds == "full"
+            exact_rows = kinds == "exact"
         with span("compute"):
             denom = self.cost.worker_flops * speeds
             fixed = self.fixed_task_flops / denom
@@ -725,46 +580,112 @@ class CodedIterationSim:
         with span("reply"):
             reply = self.network.latency + (
                 rows_mat * self.cost.row_bytes(self.width_out)
-            ) / self.network.bandwidth
-            arrivals = ((broadcast + fixed) + compute) + reply
+            ) / reply_bandwidth
+            arrivals = ((recv + fixed) + compute) + reply
             arrivals[failed_mask | ~active] = np.inf
-            done, sorted_arr = self._natural_done(arrivals, active, kinds, coverages)
+            # Natural completion: the k-th response on full plans; exact
+            # plans need every active worker, so a failed active worker's
+            # inf arrival propagates through the max as "never completes".
+            done = np.full(arrivals.shape[0], np.inf)
+            sorted_arr = np.sort(arrivals, axis=1)
+            if np.any(full_rows):
+                done[full_rows] = sorted_arr[full_rows, coverages[full_rows] - 1]
+            if np.any(exact_rows):
+                masked = np.where(active[exact_rows], arrivals[exact_rows], -np.inf)
+                done[exact_rows] = masked.max(axis=1)
 
+        out = _empty_batch_outcome(rows_mat, self._broadcast_cost)
         with span("repair"):
             deadlines = self._batch_deadlines(sorted_arr, coverages)
-            fallback = kinds == "general"
-            armed = ~fallback & ~np.isnan(deadlines) & (done > deadlines)
-
-        out = _empty_batch_outcome(rows_mat, broadcast)
-        # Native §4.3 repair resolution on the precomputed arrival matrix.
-        if np.any(armed):
-            with span("repair"):
+            general = ~full_rows & ~exact_rows
+            armed = ~general & ~np.isnan(deadlines) & (done > deadlines)
+            armed_native = armed & native
+            replay = general | (armed & ~armed_native)
+            if np.any(armed_native):
                 self._resolve_armed(
-                    out, armed, plan_list, profiles, speeds, arrivals,
+                    out, armed_native, plan_list, profiles, speeds, arrivals,
                     deadlines, done, failed_list,
                 )
-        self._settle_natural(
-            out, ~fallback & ~out.repaired, broadcast, done, arrivals,
-            rows_mat, failed_mask, denom, fixed, kinds, coverages, profiles,
-        )
 
-        # Unclassified plan shapes: the scalar simulator is the semantics
-        # of record.
-        if np.any(fallback):
-            with span("replay"):
-                for t in np.flatnonzero(fallback):
-                    outcome = self.run(plan_list[t], speeds[t], failed_list[t])
-                    out.completion_time[t] = outcome.completion_time
-                    out.decode_time[t] = outcome.decode_time
-                    out.repaired[t] = outcome.repaired
-                    for w, stat in enumerate(outcome.workers):
-                        out.assigned_rows[t, w] = stat.assigned_rows
-                        out.computed_rows[t, w] = stat.computed_rows
-                        out.used_rows[t, w] = stat.used_rows
-                        out.responded[t, w] = stat.response_time is not None
-        return out
+        # Natural settlement of every trial neither replayed nor repaired;
+        # each worker's compute clock starts at its ``recv``.
+        fast = ~replay & ~out.repaired
+        if np.any(np.isinf(done) & fast):
+            raise RuntimeError(
+                "iteration cannot complete: coverage unsatisfiable with "
+                "the surviving workers and no repair possible"
+            )
+        if np.any(fast):
+            with span("decode"):
+                resp = active & (arrivals <= done[:, None]) & fast[:, None]
+                # Partial progress of cancelled stragglers (mirrors
+                # _progress_rows term by term).
+                per_row = (self.width * self.cost.flops_per_element) / denom
+                elapsed = (done[:, None] - recv) - fixed
+                progress = np.where(elapsed <= 0, 0.0, elapsed / per_row)
+                progress = np.minimum(rows_mat, np.maximum(0.0, progress))
+                computed_fast = np.where(
+                    resp,
+                    rows_mat.astype(np.float64),
+                    np.where(failed_mask, 0.0, progress),
+                )
+                computed_fast[~active] = 0.0
+                out.computed_rows[fast] = computed_fast[fast]
+                out.responded[fast] = resp[fast]
+                # Used rows: every active worker on exact plans; the first
+                # ``coverage`` responses (stable arrival order) on full plans.
+                exact_fast = exact_rows & fast
+                if np.any(exact_fast):
+                    out.used_rows[exact_fast] = np.where(
+                        active[exact_fast], rows_mat[exact_fast], 0
+                    )
+                full_fast = full_rows & fast
+                if np.any(full_fast):
+                    order = np.argsort(arrivals[full_fast], axis=1, kind="stable")
+                    rank = np.argsort(order, axis=1)
+                    out.used_rows[full_fast] = np.where(
+                        rank < coverages[full_fast, None], rows_mat[full_fast], 0
+                    )
+                # One decode_time call per distinct (coverage, groups) pair.
+                groups = [max(1, profile.decode_groups) for profile in profiles]
+                decode_of: dict[tuple[int, int], float] = {}
+                for t in np.flatnonzero(fast).tolist():
+                    key = (int(coverages[t]), groups[t])
+                    if key not in decode_of:
+                        decode_of[key] = self.cost.decode_time(
+                            rows=self.grid.rows,
+                            coverage=key[0],
+                            width_out=self.width_out,
+                            groups=key[1],
+                        )
+                    out.decode_time[t] = decode_of[key]
+                out.completion_time[fast] = done[fast] + out.decode_time[fast]
+        return out, replay
 
-    # Stages of ``run_batch`` shared with the batched event kernel.
+    @staticmethod
+    def _replay(out: BatchCodedOutcome, replay: np.ndarray, run_one) -> None:
+        """Write ``run_one(t)``'s scalar outcome into ``out`` for ``replay`` trials.
+
+        A response counts only when it was accepted: a late response
+        recorded during a rejected repair probe stays a cancellation.
+        """
+        if not np.any(replay):
+            return
+        with span("replay"):
+            for t in np.flatnonzero(replay):
+                outcome = run_one(t)
+                out.completion_time[t] = outcome.completion_time
+                out.decode_time[t] = outcome.decode_time
+                out.repaired[t] = outcome.repaired
+                stats = outcome.workers
+                out.assigned_rows[t] = [s.assigned_rows for s in stats]
+                out.computed_rows[t] = [s.computed_rows for s in stats]
+                out.used_rows[t] = [s.used_rows for s in stats]
+                out.responded[t] = [
+                    s.response_time is not None and not s.cancelled for s in stats
+                ]
+
+    # Stages of the batched kernel.
 
     @staticmethod
     def _batch_plan_list(plans, trials: int, n: int) -> list[CodedWorkPlan]:
@@ -806,25 +727,6 @@ class CodedIterationSim:
         coverages = np.array([p.coverage for p in plan_list], dtype=np.int64)
         return profiles, rows, kinds, coverages, failed_mask
 
-    @staticmethod
-    def _natural_done(arrivals, active, kinds, coverages):
-        """Natural completion per trial plus the row-sorted arrivals.
-
-        The k-th response completes full plans; exact-coverage plans need
-        every active worker, so a failed active worker's inf arrival
-        propagates through the max as "never completes naturally".
-        """
-        done = np.full(arrivals.shape[0], np.inf)
-        full_rows = kinds == "full"
-        exact_rows = kinds == "exact"
-        sorted_arr = np.sort(arrivals, axis=1)
-        if np.any(full_rows):
-            done[full_rows] = sorted_arr[full_rows, coverages[full_rows] - 1]
-        if np.any(exact_rows):
-            masked = np.where(active[exact_rows], arrivals[exact_rows], -np.inf)
-            done[exact_rows] = masked.max(axis=1)
-        return done, sorted_arr
-
     def _resolve_armed(
         self, out, armed, plan_list, profiles, speeds, arrivals, deadlines,
         done, failed_list,
@@ -852,68 +754,6 @@ class CodedIterationSim:
             out.computed_rows[t] = computed_t
             out.used_rows[t] = used_t
             out.responded[t] = responded_t
-
-    def _settle_natural(
-        self, out, fast, start, done, arrivals, rows_mat, failed_mask, denom,
-        fixed, kinds, coverages, profiles,
-    ) -> None:
-        """Accounting of the ``fast`` trials, which complete naturally.
-
-        ``start`` is when each worker's compute clock starts (the
-        broadcast cost, or the event kernel's per-link receipt times).
-        """
-        if np.any(np.isinf(done) & fast):
-            raise RuntimeError(
-                "iteration cannot complete: coverage unsatisfiable with "
-                "the surviving workers and no repair possible"
-            )
-        if not np.any(fast):
-            return
-        with span("decode"):
-            active = rows_mat > 0
-            resp = active & (arrivals <= done[:, None]) & fast[:, None]
-            # Partial progress of cancelled stragglers (mirrors
-            # _progress_rows term by term).
-            per_row = (self.width * self.cost.flops_per_element) / denom
-            elapsed = (done[:, None] - start) - fixed
-            progress = np.where(elapsed <= 0, 0.0, elapsed / per_row)
-            progress = np.minimum(rows_mat, np.maximum(0.0, progress))
-            computed_fast = np.where(
-                resp,
-                rows_mat.astype(np.float64),
-                np.where(failed_mask, 0.0, progress),
-            )
-            computed_fast[~active] = 0.0
-            out.computed_rows[fast] = computed_fast[fast]
-            out.responded[fast] = resp[fast]
-            # Used rows: every active worker on exact plans; the first
-            # ``coverage`` responses (stable arrival order) on full plans.
-            exact_fast = (kinds == "exact") & fast
-            if np.any(exact_fast):
-                out.used_rows[exact_fast] = np.where(
-                    active[exact_fast], rows_mat[exact_fast], 0
-                )
-            full_fast = (kinds == "full") & fast
-            if np.any(full_fast):
-                order = np.argsort(arrivals[full_fast], axis=1, kind="stable")
-                rank = np.argsort(order, axis=1)
-                out.used_rows[full_fast] = np.where(
-                    rank < coverages[full_fast, None], rows_mat[full_fast], 0
-                )
-            # One decode_time call per distinct (coverage, groups) pair.
-            groups = [max(1, profile.decode_groups) for profile in profiles]
-            decode_of: dict[tuple[int, int], float] = {}
-            for t in np.flatnonzero(fast).tolist():
-                key = (int(coverages[t]), groups[t])
-                if key not in decode_of:
-                    decode_of[key] = self.cost.decode_time(
-                        rows=self.grid.rows,
-                        coverage=key[0],
-                        width_out=self.width_out,
-                        groups=key[1],
-                    )
-                out.decode_time[t] = decode_of[key]
-            out.completion_time[fast] = done[fast] + out.decode_time[fast]
 
 
 def _empty_batch_outcome(rows_mat: np.ndarray, broadcast: float) -> BatchCodedOutcome:
@@ -1029,6 +869,7 @@ class ReplicationIterationSim:
             raise ValueError(f"speeds must have shape ({n},), got {speeds.shape}")
         if np.any(speeds <= 0):
             raise ValueError("speeds must be positive; use failed_workers")
+        _check_failed(failed_workers, n)
         primary = self._primary_arrivals(speeds[None, :], [failed_workers])[0]
         return self._complete(speeds, primary, failed_workers)
 
@@ -1192,6 +1033,7 @@ class OverDecompositionIterationSim:
         n = speeds.size
         if np.any(speeds <= 0):
             raise ValueError("speeds must be positive; use failed_workers")
+        _check_failed(failed_workers, n)
         if failed_workers & set(np.unique(plan.owner).tolist()):
             raise RuntimeError(
                 "a failed worker owns partitions; over-decomposition has no "

@@ -37,8 +37,10 @@ class TimeoutPolicy:
         How many full responses must arrive before the timeout arms;
         ``None`` means the code's coverage ``k`` (the paper's choice).
     max_rounds:
-        Upper bound on successive repair rounds within one iteration — a
-        safety net against pathological speed collapse.
+        Validated (``>= 1``) but read by no simulator.  A timeout issues
+        exactly one repair round, at the first cutoff — the deadline or a
+        later response — where reassigning among the finished (and idle)
+        workers restores coverage.
     """
 
     slack: float = 0.15

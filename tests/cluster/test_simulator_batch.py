@@ -5,15 +5,20 @@ The contract of every ``run_batch``: per-trial results are *exactly* equal
 speed rows.  These tests sweep the plan shapes the schedulers produce
 (full, exact-coverage wraparound, repair-armed — including idle-helper
 recruitment, multi-cutoff repair, and opportunistic rejection) plus
-failures, and the over-decomposition baseline's stacked chunk timelines.
+failures, general plans that replay through the event loop on both
+backends, and the over-decomposition baseline's stacked chunk timelines.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.cluster.events import EventDrivenIterationSim
 from repro.cluster.network import CostModel, NetworkModel
 from repro.cluster.scenarios import scenario_batch
 from repro.cluster.simulator import (
+    BatchCodedOutcome,
     CodedIterationSim,
     OverDecompositionIterationSim,
     ReplicationIterationSim,
@@ -28,6 +33,7 @@ from repro.scheduling.overdecomposition import (
     OverDecompositionPlacement,
     plan_assignment,
 )
+from repro.scheduling.base import ChunkAssignment, CodedWorkPlan, full_plan
 from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
 from repro.scheduling.s2c2 import GeneralS2C2Scheduler, wraparound_plan
 from repro.scheduling.static import StaticCodedScheduler
@@ -217,6 +223,141 @@ class TestCodedBatchEquivalence:
             _sim().run_batch(plan, np.ones(N))
         with pytest.raises(ValueError, match="plans"):
             _sim().run_batch([plan], np.ones((3, N)))
+
+
+def _general_plans() -> list[CodedWorkPlan]:
+    """Plans of neither full nor exact shape: chunks over-covered by uneven
+    holder counts, multi-range (wrapping) assignments, an idle worker."""
+
+    def plan(*ranges):
+        return CodedWorkPlan(
+            n_workers=N, num_chunks=CHUNKS, coverage=COVERAGE,
+            assignments=tuple(ChunkAssignment(w, r) for w, r in enumerate(ranges)),
+        )
+
+    whole = ((0, CHUNKS),)
+    idle_helper = plan(
+        whole, whole, whole, whole, whole, ((30, 40), (0, 10)), ((5, 15),), ()
+    )
+    arcs = plan(
+        ((0, 25),), ((25, 40), (0, 10)), ((10, 38),), ((35, 40), (0, 20)),
+        ((20, 40), (0, 5)), ((5, 30),), ((30, 40), (0, 15)), ((12, 40),),
+    )
+    return [idle_helper, arcs]
+
+
+def _as_event(sim: CodedIterationSim) -> EventDrivenIterationSim:
+    return EventDrivenIterationSim(
+        **{f.name: getattr(sim, f.name) for f in fields(CodedIterationSim)}
+    )
+
+
+def _assert_equal_batches(got, want):
+    for name in ("completion_time", "decode_time", "assigned_rows",
+                 "computed_rows", "used_rows", "responded", "repaired"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                      err_msg=name)
+    assert got.broadcast_time == want.broadcast_time
+
+
+def _loop_batch(sim, plans, speeds, failed, factors=None):
+    """Looping the scalar ``run``, stacked in the batch layout (a response
+    counts when it was accepted)."""
+    outcomes = [
+        sim.run(plans[t], speeds[t], failed[t])
+        if factors is None
+        else sim.run(plans[t], speeds[t], failed[t], factors[t])
+        for t in range(speeds.shape[0])
+    ]
+    stats = [o.workers for o in outcomes]
+    return BatchCodedOutcome(
+        completion_time=np.array([o.completion_time for o in outcomes]),
+        broadcast_time=outcomes[0].broadcast_time,
+        decode_time=np.array([o.decode_time for o in outcomes]),
+        assigned_rows=np.array([[s.assigned_rows for s in row] for row in stats]),
+        computed_rows=np.array([[s.computed_rows for s in row] for row in stats]),
+        used_rows=np.array([[s.used_rows for s in row] for row in stats]),
+        responded=np.array([
+            [s.response_time is not None and not s.cancelled for s in row]
+            for row in stats
+        ]),
+        repaired=np.array([o.repaired for o in outcomes]),
+    )
+
+
+class TestGeneralPlanRoute:
+    """General plans replay through the event loop; full/exact never do."""
+
+    TRIALS = 8
+
+    def _mixed_plans(self):
+        general = _general_plans()
+        for plan in general:
+            plan.validate()
+        full = full_plan(N, CHUNKS, COVERAGE)
+        exact = GeneralS2C2Scheduler(coverage=COVERAGE, num_chunks=CHUNKS).plan(
+            np.ones(N)
+        )
+        shapes = [*general, full, exact]
+        plans = [shapes[t % len(shapes)] for t in range(self.TRIALS)]
+        return plans, general
+
+    def _replayed(self, monkeypatch, call):
+        """Run ``call()``, returning its result and the plans replayed."""
+        replayed = []
+        inner = EventDrivenIterationSim.run
+
+        def counting(self, plan, *args, **kwargs):
+            replayed.append(plan)
+            return inner(self, plan, *args, **kwargs)
+
+        monkeypatch.setattr(EventDrivenIterationSim, "run", counting)
+        try:
+            return call(), replayed
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "timeout, failed",
+        [
+            (None, frozenset()),
+            (TimeoutPolicy(slack=0.05), frozenset()),
+            (TimeoutPolicy(slack=0.05), frozenset({2})),
+        ],
+    )
+    def test_both_batches_equal_the_loop(self, monkeypatch, timeout, failed):
+        plans, general = self._mixed_plans()
+        speeds = _speed_batch(self.TRIALS, stragglers=3)
+        failed_list = [failed] * self.TRIALS
+        closed = _sim(timeout=timeout)
+        event = _as_event(closed)
+        want = _loop_batch(closed, plans, speeds, failed_list)
+        n_general = sum(p in general for p in plans)
+        for sim in (closed, event):
+            got, replayed = self._replayed(
+                monkeypatch, lambda: sim.run_batch(plans, speeds, failed_list)
+            )
+            _assert_equal_batches(got, want)
+            # Every general trial replays once; full and exact trials never.
+            assert len(replayed) == n_general
+            assert all(any(p is g for g in general) for p in replayed)
+        if timeout is not None:
+            assert want.repaired.any()
+
+    def test_degraded_links_on_the_event_backend(self, monkeypatch):
+        plans, general = self._mixed_plans()
+        speeds = _speed_batch(self.TRIALS, stragglers=3)
+        failed_list = [frozenset({2})] * self.TRIALS
+        factors = np.ones_like(speeds)
+        factors[:, [0, 5]] = [0.25, 0.5]
+        event = _as_event(_sim(timeout=TimeoutPolicy(slack=0.05)))
+        want = _loop_batch(event, plans, speeds, failed_list, factors)
+        got, replayed = self._replayed(
+            monkeypatch,
+            lambda: event.run_batch(plans, speeds, failed_list, link_factors=factors),
+        )
+        _assert_equal_batches(got, want)
+        assert sum(p in general for p in replayed) == sum(p in general for p in plans)
 
 
 class TestReplicationBatchEquivalence:

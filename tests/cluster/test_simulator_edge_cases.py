@@ -2,16 +2,27 @@
 
 Covers the corners the main simulator tests don't: bilinear fixed-task
 costs, broadcast-width decoupling, idle-worker recruitment during repair,
-progressive repair cutoffs with mixed dead/slow laggards, and tie-breaking.
+progressive repair cutoffs with mixed dead/slow laggards, tie-breaking,
+and failure indices outside the cluster on every simulator.
 """
 
 import numpy as np
 import pytest
 
+from repro.cluster.events import EventDrivenIterationSim
 from repro.cluster.network import CostModel, NetworkModel
-from repro.cluster.simulator import CodedIterationSim
+from repro.cluster.simulator import (
+    CodedIterationSim,
+    OverDecompositionIterationSim,
+    ReplicationIterationSim,
+)
 from repro.coding.partition import ChunkGrid
 from repro.scheduling.base import full_plan
+from repro.scheduling.overdecomposition import (
+    OverDecompositionPlacement,
+    plan_assignment,
+)
+from repro.scheduling.replication import ReplicaPlacement, SpeculationConfig
 from repro.scheduling.s2c2 import BasicS2C2Scheduler, GeneralS2C2Scheduler
 from repro.scheduling.timeout import TimeoutPolicy
 
@@ -139,3 +150,70 @@ class TestDeterminism:
         plan = full_plan(4, 60, 2)
         outcome = sim.run(plan, np.ones(4))
         assert set(outcome.contributions) == {0, 1}
+
+
+class TestFailureIndexValidation:
+    """A failure index outside ``[0, n)`` is rejected on every path.
+
+    Array indexing would otherwise fail worker ``n - 1`` for ``-1`` in a
+    batch while the scalar path ignores it, and ``n`` would raise a bare
+    ``IndexError`` in a batch while the scalar path ignores it too.
+    """
+
+    N = 6
+
+    def _speeds(self):
+        speeds = np.ones(self.N)
+        speeds[5] = 4.0  # the fastest worker, which ``-1`` would wrap onto
+        return speeds
+
+    def _assert_rejected(self, bad, scalar, batch):
+        speeds = self._speeds()
+        per_trial = [frozenset(), frozenset({bad})]
+        for call in (
+            lambda: scalar(speeds, frozenset({bad})),
+            lambda: batch(speeds[None], frozenset({bad})),
+            lambda: batch(np.vstack([speeds, speeds]), per_trial),
+        ):
+            with pytest.raises(ValueError, match=f"failed worker index {bad} "):
+                call()
+
+    @pytest.mark.parametrize("bad", [-1, N])
+    @pytest.mark.parametrize("cls", [CodedIterationSim, EventDrivenIterationSim])
+    def test_coded(self, cls, bad):
+        sim = cls(grid=ChunkGrid(120, 60), width=10, network=NET, cost=COST,
+                  timeout=TimeoutPolicy())
+        plan = full_plan(self.N, 60, 4)
+        self._assert_rejected(
+            bad,
+            lambda s, f: sim.run(plan, s, f),
+            lambda s, f: sim.run_batch(plan, s, f),
+        )
+
+    @pytest.mark.parametrize("bad", [-1, N])
+    def test_replication(self, bad):
+        config = SpeculationConfig()
+        sim = ReplicationIterationSim(
+            placement=ReplicaPlacement(self.N, config.replication, seed=0),
+            config=config, rows_per_partition=20, width=10,
+        )
+        self._assert_rejected(bad, sim.run, sim.run_batch)
+
+    @pytest.mark.parametrize("bad", [-1, N])
+    def test_overdecomposition(self, bad):
+        placement = OverDecompositionPlacement(self.N, factor=2, replication=1.0)
+        plan = plan_assignment(placement.holders, np.ones(self.N), self.N)
+        sim = OverDecompositionIterationSim(rows_per_partition=20, width=10)
+        self._assert_rejected(
+            bad,
+            lambda s, f: sim.run(plan, s, f),
+            lambda s, f: sim.run_batch(plan, s, f),
+        )
+
+    def test_in_range_failures_still_run(self):
+        sim = make_sim(timeout=TimeoutPolicy())
+        plan = full_plan(self.N, 60, 4)
+        scalar = sim.run(plan, self._speeds(), frozenset({5}))
+        batch = sim.run_batch(plan, self._speeds()[None], frozenset({5}))
+        assert batch.completion_time[0] == scalar.completion_time
+        assert not batch.responded[0, 5]

@@ -13,6 +13,12 @@ inherited ``_repair_batch_trial``, so that path counts on the
 ``repro.cluster.simulator`` binding; the ``repro.cluster.events.sim``
 binding belongs to the scalar event loop, which the kernel replays
 trials through when links degrade.
+
+The same tooling charges each backend's trials by binding
+``CodedIterationSim.run_batch`` and ``EventDrivenIterationSim.run_batch``
+by name, so both must stay methods of their own class, and neither
+backend's batch may pass through the other's entry point or (on full and
+exact plans) the scalar event loop.
 """
 
 import numpy as np
@@ -20,13 +26,14 @@ import numpy as np
 import repro.cluster.events.sim as event_sim
 import repro.cluster.simulator as closed_sim
 import repro.runtime.batch as runtime_batch
-from repro.cluster.events import EventDrivenIterationSim
+from repro.cluster.events import EventConfig, EventDrivenIterationSim
 from repro.cluster.network import CostModel, NetworkModel
 from repro.cluster.scenarios import scenario_batch
 from repro.cluster.speed_models import ControlledSpeeds, StackedSpeeds
 from repro.coding.partition import ChunkGrid
 from repro.prediction.predictor import OraclePredictor, StackedPredictor
 from repro.runtime.batch import BatchCodedRunner
+from repro.scheduling.base import full_plan
 from repro.scheduling.s2c2 import GeneralS2C2Scheduler
 from repro.scheduling.timeout import TimeoutPolicy
 
@@ -115,3 +122,39 @@ def test_batch_runner_plans_through_its_binding(monkeypatch):
     )
     runner.matvec("A")
     assert calls
+
+
+def test_each_backend_defines_its_own_batch_entry():
+    assert "run_batch" in vars(closed_sim.CodedIterationSim)
+    assert "run_batch" in vars(EventDrivenIterationSim)
+
+
+def test_event_batches_never_enter_the_closed_entry(monkeypatch):
+    closed_entry = _count(monkeypatch, closed_sim.CodedIterationSim, "run_batch")
+    plan, speeds = _armed_inputs()
+    degraded = np.ones_like(speeds)
+    degraded[:, 0] = 0.5
+    sim = _event_sim()
+    sim.run_batch(plan, speeds)
+    sim.run_batch(plan, speeds, link_factors=degraded)
+    racked = EventDrivenIterationSim(
+        grid=sim.grid, width=sim.width, network=sim.network, cost=sim.cost,
+        timeout=sim.timeout, config=EventConfig(rack_size=4),
+    )
+    racked.run_batch(plan, speeds[:2])
+    assert not closed_entry
+
+
+def test_closed_batches_on_full_and_exact_plans_never_replay(monkeypatch):
+    replays = _count(monkeypatch, EventDrivenIterationSim, "run")
+    exact, speeds = _armed_inputs()
+    sim = closed_sim.CodedIterationSim(
+        grid=ChunkGrid(120, CHUNKS),
+        width=10,
+        network=NetworkModel(latency=5e-6, bandwidth=2.5e8),
+        cost=CostModel(worker_flops=1e6),
+        timeout=TimeoutPolicy(slack=0.05),
+    )
+    assert sim.run_batch(exact, speeds).repaired.any()
+    sim.run_batch(full_plan(N, CHUNKS, K), speeds, frozenset({3}))
+    assert not replays

@@ -176,7 +176,11 @@ def allocate_chunks(
 def timeout_deadline(
     policy: TimeoutPolicy, coverage: int, arrivals: np.ndarray
 ) -> float | None:
-    """``CodedIterationSim._timeout_deadline`` on one trial's arrival row."""
+    """The §4.3 arming rule on one trial's arrival row.
+
+    Kept verbatim from the retired closed-form scalar simulator's
+    ``_timeout_deadline``; the event loop arms the same way incrementally.
+    """
     k = policy.min_responses or coverage
     finite = [a for a in arrivals if a < np.inf]
     if not finite:
