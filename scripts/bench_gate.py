@@ -12,13 +12,17 @@ than ``--threshold`` (default 0.25, i.e. 25 %); any regression exits 1
 listing every offender, so ``smoke.sh bench`` fails instead of silently
 recording a slowdown.
 
-Normalisation: rows record the ``cpus`` the run had (``os.cpu_count()``),
-and the pooled benches scale with it, so times are compared in
-core-seconds (``seconds × cpus``).  A section that records an integer
-``cells`` workload count (the ``matrix`` bench sweeps the whole policy ×
-scenario registry, which grows as PRs register new entries) is further
-normalised **per cell**, so a structurally larger registry is not
-mistaken for a slowdown.  Early trajectory rows predate the
+Normalisation: rows record the ``cpus`` the run had (``os.cpu_count()``).
+Only the benches that fan work out over a process pool scale with it —
+the explicit :data:`POOLED` ``(section, metric)`` keys — so only those
+are compared in core-seconds (``seconds × cpus``); every other timing
+(serial sessions, single-process kernels, warm cache reads) is compared
+in wall seconds, because more cores do not make it faster and scaling it
+would report a false regression whenever ``cpus`` grows.  A section
+that records an integer ``cells`` workload count (the ``matrix`` bench
+sweeps the whole policy × scenario registry, which grows as PRs register
+new entries) is further normalised **per cell**, so a structurally
+larger registry is not mistaken for a slowdown.  Early trajectory rows predate the
 ``cpus`` / ``executor`` fields — they count as ``cpus = 1`` — and rows
 may lack whole sections (the ``--matrix`` / ``--engine`` / ``--events``
 benches were added over time); a metric is gated only against the rows
@@ -43,6 +47,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Section entries that are floats but not wall-clock seconds.
 NOT_SECONDS = {"repaired_fraction"}
+
+#: Timings that ``scripts/bench_sweep.py`` takes over a ``--jobs`` /
+#: ``--engine-jobs`` process pool; only these are normalised by ``cpus``.
+POOLED = {
+    ("fig06", "sweep"),
+    ("fig13", "sweep"),
+    ("matrix", "cold"),
+    ("engine", "cell_granular"),
+    ("engine", "sharded"),
+    ("events", "matrix_closed"),
+    ("events", "matrix_event"),
+}
 
 
 def load_rows(path: Path) -> list[dict]:
@@ -70,13 +86,15 @@ def row_cpus(row: dict) -> int:
 
 
 def timing_metrics(row: dict) -> dict[tuple[str, str], float]:
-    """Normalised core-seconds per ``(section, metric)`` of one row.
+    """Normalised seconds per ``(section, metric)`` of one row.
 
     Sections are the dict-valued top-level entries; within one, every
     float (but not bool/int — those are counts, and not
-    :data:`NOT_SECONDS`) is a wall-clock timing.  A section recording an
-    integer ``cells`` workload count has its timings divided by it, so
-    the metric tracks per-cell cost rather than registry size.
+    :data:`NOT_SECONDS`) is a wall-clock timing.  :data:`POOLED` timings
+    are multiplied by the row's ``cpus`` (core-seconds); the rest stay
+    wall seconds.  A section recording an integer ``cells`` workload
+    count has its timings divided by it, so the metric tracks per-cell
+    cost rather than registry size.
     """
     cpus = row_cpus(row)
     metrics = {}
@@ -87,12 +105,13 @@ def timing_metrics(row: dict) -> dict[tuple[str, str], float]:
         per_cell = (
             isinstance(cells, int) and not isinstance(cells, bool) and cells > 0
         )
-        scale = cpus / cells if per_cell else cpus
+        divisor = cells if per_cell else 1
         for name, value in body.items():
             if name in NOT_SECONDS:
                 continue
             if isinstance(value, float) and not isinstance(value, bool):
-                metrics[(section, name)] = value * scale
+                scale = cpus if (section, name) in POOLED else 1
+                metrics[(section, name)] = value * scale / divisor
     return metrics
 
 
@@ -171,8 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     report, regressions = gate(rows, args.threshold)
     print(
         f"bench gate: newest of {len(rows)} rows vs trajectory median "
-        f"(threshold {args.threshold:.0%}, times in core-seconds, "
-        "per cell where the section records a cell count)"
+        f"(threshold {args.threshold:.0%}, pooled times in core-seconds, "
+        "the rest in wall seconds, per cell where the section records a "
+        "cell count)"
     )
     for line in report:
         print(line)

@@ -193,9 +193,7 @@ class EventDrivenIterationSim(CodedIterationSim):
         rows_of = np.zeros(n, dtype=np.int64)
         active: list[int] = []
         for w in range(n):
-            rows = int(
-                self.grid.rows_of_chunks(plan.assignments[w].chunk_indices()).size
-            )
+            rows = self.grid.row_count(plan.assignments[w].chunk_indices())
             rows_of[w] = rows
             stats[w].assigned_rows = rows
             if rows > 0:
@@ -390,14 +388,9 @@ class EventDrivenIterationSim(CodedIterationSim):
                         speeds[w], recv_time[w], done_time, rows
                     )
         for w, chunks in contributions.items():
-            base_chunks = plan.assignments[w].chunk_indices()
-            used = self.grid.rows_of_chunks(np.asarray(chunks, dtype=np.int64))
-            stats[w].used_rows = int(used.size)
+            stats[w].used_rows = self.grid.row_count(chunks)
             if repaired and w in extra_rows_final:
-                stats[w].computed_rows = float(
-                    self.grid.rows_of_chunks(base_chunks).size
-                    + extra_rows_final[w]
-                )
+                stats[w].computed_rows = float(rows_of[w] + extra_rows_final[w])
         decode = self.cost.decode_time(
             rows=self.grid.rows,
             coverage=plan.coverage,
@@ -500,8 +493,7 @@ class EventDrivenIterationSim(CodedIterationSim):
             except ValueError:
                 continue  # wait for the next response, then reconsider
             extra_rows = {
-                w: int(self.grid.rows_of_chunks(chunks).size)
-                for w, chunks in extra.items()
+                w: self.grid.row_count(chunks) for w, chunks in extra.items()
             }
             return finished, extra, extra_rows, laggards, cutoff
         return None

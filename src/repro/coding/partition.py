@@ -174,17 +174,27 @@ class ChunkGrid:
         offsets = self.chunk_offsets()
         return int(offsets[chunk]), int(offsets[chunk + 1])
 
-    def rows_of_chunks(self, chunks: np.ndarray) -> np.ndarray:
-        """Expand an array of chunk indices into the covered row indices."""
+    def _checked_chunks(self, chunks) -> np.ndarray:
         chunks = np.asarray(chunks, dtype=np.int64)
-        if chunks.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if chunks.min() < 0 or chunks.max() >= self.num_chunks:
+        if chunks.size and (chunks.min() < 0 or chunks.max() >= self.num_chunks):
             raise IndexError("chunk index out of range")
-        offsets = self.chunk_offsets()
-        return np.concatenate(
-            [np.arange(offsets[c], offsets[c + 1], dtype=np.int64) for c in chunks]
-        )
+        return chunks
+
+    def rows_of_chunks(self, chunks: np.ndarray) -> np.ndarray:
+        """Expand an array of chunk indices into the covered row indices.
+
+        Chunk row ranges are concatenated in the given order, repeats and
+        unsorted indices included.
+        """
+        chunks = self._checked_chunks(chunks)
+        sizes = self.chunk_sizes()[chunks]
+        begins = np.cumsum(sizes) - sizes  # where each chunk lands in the output
+        shift = np.repeat(self.chunk_offsets()[chunks] - begins, sizes)
+        return np.arange(shift.size, dtype=np.int64) + shift
+
+    def row_count(self, chunks: np.ndarray) -> int:
+        """Number of rows :meth:`rows_of_chunks` would return, without them."""
+        return int(self.chunk_sizes()[self._checked_chunks(chunks)].sum())
 
     def chunk_of_row(self, row: int) -> int:
         """Return the chunk containing ``row``."""

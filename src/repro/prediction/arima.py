@@ -6,7 +6,12 @@ LSTM and found ARIMA(1,0,0) the best of the three.  We implement:
 * :class:`ARModel` — AR(p) fitted by pooled ordinary least squares across
   all training traces (exact, no iterative optimisation needed);
 * :class:`ARIMA111Model` — ARIMA(1,1,1) fitted by conditional least squares
-  on first differences via Nelder–Mead.
+  on first differences via Nelder–Mead.  The CSS objective is
+  row-vectorised: one differences matrix per fit, the innovation
+  recursion stepped over all nodes at once, and the squares summed in
+  the scalar loop's order, so every Nelder–Mead evaluation (and hence the
+  fitted parameters) is bit for bit the per-node scalar loop kept in
+  ``tests/prediction/fit_oracles.py``.
 """
 
 from __future__ import annotations
@@ -152,27 +157,39 @@ class ARIMA111Model:
     _fitted: bool = field(init=False, default=False)
 
     @staticmethod
-    def _css(params: np.ndarray, diffs_list: list[np.ndarray]) -> float:
+    def _css(params: np.ndarray, diffs: np.ndarray) -> float:
+        """Conditional sum of squares over time-major differences ``(L-1, N)``.
+
+        ``x_t = (d_t - c) - φ d_{t-1}`` is one array expression; the
+        innovation recursion ``e_t = x_t - θ e_{t-1}`` is sequential in
+        time, so it steps over whole ``(N,)`` rows of nodes, and the
+        squares are summed one at a time in the node-then-time order of
+        the scalar definition (``np.cumsum``; ``np.sum`` would sum
+        pairwise).  The value is bit for bit the per-node scalar loop's.
+        """
         c, phi, theta = params
-        total = 0.0
-        for diffs in diffs_list:
-            err_prev = 0.0
-            for t in range(1, diffs.size):
-                err = diffs[t] - c - phi * diffs[t - 1] - theta * err_prev
-                total += err * err
-                err_prev = err
-        return total
+        errors = (diffs[1:] - c) - phi * diffs[:-1]
+        theta = np.asarray(theta)  # 0-d: no per-call scalar conversion
+        prev = np.zeros(diffs.shape[1])
+        lagged = np.empty_like(prev)
+        for row in errors:
+            np.multiply(prev, theta, out=lagged)
+            np.subtract(row, lagged, out=row)
+            prev = row
+        if errors.size == 0:
+            return 0.0
+        return float(np.cumsum(np.square(errors.T, order="C"))[-1])
 
     def fit(self, series: np.ndarray) -> "ARIMA111Model":
         """Fit on the pooled first differences of ``series`` (``(N, L)``)."""
         series = np.asarray(series, dtype=np.float64)
         if series.ndim != 2 or series.shape[1] < 3:
             raise ValueError("series must be 2-D with length >= 3")
-        diffs_list = [np.diff(row) for row in series]
+        diffs = np.ascontiguousarray(np.diff(series, axis=1).T)
         result = optimize.minimize(
             self._css,
             x0=np.array([0.0, 0.2, 0.1]),
-            args=(diffs_list,),
+            args=(diffs,),
             method="Nelder-Mead",
             options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-9},
         )

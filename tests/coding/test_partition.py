@@ -169,3 +169,59 @@ class TestChunkGrid:
         assert sizes.max() - sizes.min() <= 1
         all_rows = grid.rows_of_chunks(np.arange(chunks))
         np.testing.assert_array_equal(all_rows, np.arange(rows))
+
+
+def expand_rows_loop(grid: ChunkGrid, chunks) -> np.ndarray:
+    """The per-chunk ``np.arange`` expansion ``rows_of_chunks`` replaced."""
+    chunks = np.asarray(chunks, dtype=np.int64)
+    if chunks.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if chunks.min() < 0 or chunks.max() >= grid.num_chunks:
+        raise IndexError("chunk index out of range")
+    offsets = grid.chunk_offsets()
+    return np.concatenate(
+        [np.arange(offsets[c], offsets[c + 1], dtype=np.int64) for c in chunks]
+    )
+
+
+class TestRowsOfChunksMatchesLoop:
+    """``rows_of_chunks`` (offsets + ``np.repeat``) and ``row_count``
+    pinned against the per-chunk expansion, corners included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 90),
+        data=st.data(),
+    )
+    def test_drawn_chunk_lists(self, rows, data):
+        grid = ChunkGrid(rows, data.draw(st.integers(1, rows)))
+        chunks = data.draw(
+            st.lists(st.integers(0, grid.num_chunks - 1), max_size=3 * grid.num_chunks)
+        )
+        expected = expand_rows_loop(grid, chunks)
+        got = grid.rows_of_chunks(np.array(chunks, dtype=np.int64))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+        assert grid.row_count(chunks) == expected.size
+        assert type(grid.row_count(chunks)) is int
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [[], [3], [2, 2, 2], [5, 0, 3, 0], [6, 5, 4, 3, 2, 1, 0], list(range(7))],
+    )
+    def test_empty_repeated_unsorted(self, chunks):
+        grid = ChunkGrid(23, 7)
+        expected = expand_rows_loop(grid, chunks)
+        np.testing.assert_array_equal(grid.rows_of_chunks(chunks), expected)
+        assert grid.rows_of_chunks(chunks).dtype == np.int64
+        assert grid.row_count(chunks) == expected.size
+
+    @pytest.mark.parametrize("chunks", [[7], [-1], [0, 7], [3, -2, 1]])
+    def test_out_of_range_raises_like_loop(self, chunks):
+        grid = ChunkGrid(23, 7)
+        with pytest.raises(IndexError, match="chunk index out of range"):
+            expand_rows_loop(grid, chunks)
+        with pytest.raises(IndexError, match="chunk index out of range"):
+            grid.rows_of_chunks(chunks)
+        with pytest.raises(IndexError, match="chunk index out of range"):
+            grid.row_count(chunks)

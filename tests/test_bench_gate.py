@@ -126,3 +126,56 @@ def test_two_row_pass_is_not_a_silent_skip_of_real_regressions(tmp_path):
     assert gate.main(["--json", str(path)]) == 0
     path = _write(tmp_path, [_row(1.0), _row(1.0), _row(9.0)])
     assert gate.main(["--json", str(path)]) == 1
+
+
+def _newest_recorded_row() -> dict:
+    rows = _load_gate().load_rows(REPO_ROOT / "BENCH_SWEEP.json")
+    assert rows, "BENCH_SWEEP.json holds the recorded trajectory"
+    return rows[-1]
+
+
+def test_more_cpus_is_not_a_serial_regression():
+    # Re-gating a copy of the newest recorded row with only `cpus: 2`
+    # changed used to flag every timing (fig06.serial, predictor.loop,
+    # …) as ~2x slower: single-process timings were scaled by cpus too.
+    gate = _load_gate()
+    newest = _newest_recorded_row()
+    doubled = dict(newest, cpus=2)
+    _, regressions = gate.gate([newest, newest, doubled], threshold=0.25)
+    flagged = {line.split(":")[0] for line in regressions}
+    serial = {
+        f"{section}.{name}"
+        for section, name in gate.timing_metrics(newest)
+        if (section, name) not in gate.POOLED
+    }
+    assert serial, "the recorded row has serial timings"
+    assert not flagged & serial
+    # Pooled timings are still compared in core-seconds.
+    assert flagged == {
+        f"{section}.{name}"
+        for section, name in gate.timing_metrics(newest)
+        if (section, name) in gate.POOLED
+    }
+
+
+def test_serial_slowdown_still_fails_at_equal_cpus():
+    gate = _load_gate()
+    newest = _newest_recorded_row()
+    slower = json.loads(json.dumps(newest))
+    slower["fig06"]["serial"] *= 2.0
+    _, regressions = gate.gate([newest, newest, slower], threshold=0.25)
+    assert [line.split(":")[0] for line in regressions] == ["fig06.serial"]
+
+
+def test_serial_slowdown_fails_despite_more_cpus(tmp_path, capsys):
+    # A 2x slower serial metric is not excused by the run having 2 cpus.
+    gate = _load_gate()
+    rows = [
+        {"cpus": 1, "predictor": {"loop": 1.0}, "fig06": {"sweep": 1.0}},
+        {"cpus": 1, "predictor": {"loop": 1.05}, "fig06": {"sweep": 1.0}},
+        {"cpus": 2, "predictor": {"loop": 2.0}, "fig06": {"sweep": 0.5}},
+    ]
+    assert gate.main(["--json", str(_write(tmp_path, rows))]) == 1
+    err = capsys.readouterr().err
+    assert "predictor.loop" in err
+    assert "fig06.sweep" not in err  # 0.5 s × 2 cpus = the same core-seconds
